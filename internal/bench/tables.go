@@ -96,7 +96,7 @@ func PrintTable4(w io.Writer, root string) error {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-40s %14d\n", r.Component, r.ARM)
 	}
-	fmt.Fprintf(w, "%-40s %14d %14d\n", "Hypervisor total (core vs kvmx86+x86)", armTotal.Code, x86Total.Code)
+	fmt.Fprintf(w, "%-40s %14d %14d\n", "Hypervisor total (core+vdist vs kvmx86+x86)", armTotal.Code, x86Total.Code)
 	fmt.Fprintf(w, "%-40s %14d\n", "of which lowvisor (Hyp-mode component)", lowvisor.Code)
 	fmt.Fprintf(w, "%-40s %14d\n", "arch-neutral hv layer (shared, uncharged)", neutral.Code)
 	fmt.Fprintf(w, "lowvisor share: %.1f%% of the ARM hypervisor (paper: 718/5812 = 12.4%%)\n",

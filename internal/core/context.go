@@ -20,38 +20,27 @@ import (
 	"kvmarm/internal/arm"
 	"kvmarm/internal/gic"
 	"kvmarm/internal/hv"
-	"kvmarm/internal/timer"
 )
 
 // GuestContext is the per-vCPU state moved by the world switch — exactly
 // the "Context Switch" half of Table 1, plus the software execution context
 // (which PL1 software the VM runs).
 type GuestContext struct {
-	// GP is the 38-register general-purpose set.
-	GP arm.GPSnapshot
-	// CP15 holds the 26 context-switched control registers, indexed in
-	// arm.CtxControlRegs order.
-	CP15 [arm.NumCtxControlRegs]uint32
+	// GuestRegs is the part every backend saves in the same shape: the
+	// 38-register general-purpose set, the 26 context-switched control
+	// registers, the virtual timer (2 control registers + CNTVOFF) and
+	// the software context (PL1 handler and runner).
+	hv.GuestRegs
 	// Shadow ID registers presented to the VM (world-switch step 7).
 	VPIDR  uint32
 	VMPIDR uint32
 	// VGIC is the saved VGIC CPU-interface state (16 control + 4 list
 	// registers).
 	VGIC gic.VGICCpu
-	// VTimer is the virtual timer state (2 control registers + CNTVOFF).
-	VTimer timer.VirtState
 	// VFP is the guest floating-point state (32 × 64-bit + 4 control),
 	// switched lazily: Dirty marks that the guest touched FP since entry.
 	VFP   arm.VFP
 	Dirty bool
-
-	// PL1Software is the guest's kernel-mode software: installed as the
-	// CPU's PL1 handler while the VM runs. Swapping it is what "switching
-	// the world" means for the parts of the VM that run in kernel mode.
-	PL1Software arm.ExcHandler
-	// Runner is the guest's execution content (a guest kernel scheduler
-	// or a bare SARM32 interpreter).
-	Runner arm.Runner
 }
 
 // Reg reads GP register n from a saved context, honouring the banked view

@@ -4,40 +4,11 @@ import (
 	"testing"
 
 	"kvmarm/internal/arm"
+	"kvmarm/internal/hv"
 	"kvmarm/internal/isa"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
 )
-
-func TestOneRegRoundTrip(t *testing.T) {
-	_, _, k := defaultEnv(t)
-	vmI, _ := k.CreateVM(64 << 20)
-	vI, _ := vmI.CreateVCPU(0)
-	v := vI.(*VCPU)
-
-	ids := v.RegList()
-	if len(ids) < 38 {
-		t.Fatalf("register list has %d entries, want at least the Table 1 GP set", len(ids))
-	}
-	// Write a recognizable pattern through the interface and read back.
-	for i, id := range ids {
-		if err := v.SetOneReg(id, uint32(0x1000+i)); err != nil {
-			t.Fatalf("set %#x: %v", uint32(id), err)
-		}
-	}
-	for i, id := range ids {
-		got, err := v.GetOneReg(id)
-		if err != nil {
-			t.Fatalf("get %#x: %v", uint32(id), err)
-		}
-		if got != uint32(0x1000+i) {
-			t.Fatalf("reg %#x = %#x, want %#x", uint32(id), got, 0x1000+i)
-		}
-	}
-	if _, err := v.GetOneReg(RegID(0xFFFF_FFFF)); err == nil {
-		t.Error("unknown register id must fail")
-	}
-}
 
 func TestSaveRestoreMovesGuestBetweenVMs(t *testing.T) {
 	b, host, k := defaultEnv(t)
@@ -62,7 +33,7 @@ func TestSaveRestoreMovesGuestBetweenVMs(t *testing.T) {
 	if !b.Run(5_000_000, v.Paused) {
 		t.Fatal("did not pause")
 	}
-	regs, err := v.SaveAllRegs()
+	regs, err := hv.SaveAllRegs(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +53,7 @@ func TestSaveRestoreMovesGuestBetweenVMs(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2.SetGuestSoftware(nil, &isa.Interp{})
-	if err := v2.RestoreAllRegs(regs); err != nil {
+	if err := hv.RestoreAllRegs(v2, regs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v2.StartThread(1); err != nil {
@@ -103,37 +74,6 @@ func progBytesOf(words []uint32) []byte {
 		out = append(out, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
 	}
 	return out
-}
-
-func TestPauseResume(t *testing.T) {
-	b, _, k := defaultEnv(t)
-	prog := isa.NewAsm(machine.RAMBase).
-		MOVW(isa.R5, 0).
-		Label("loop").
-		ADDI(isa.R5, isa.R5, 1).
-		HVC(1).
-		B("loop").
-		MustAssemble()
-	_, v := isaGuest(t, k, prog, 0)
-	if !b.Run(5_000_000, func() bool { return v.vm.Stats.Hypercalls >= 2 }) {
-		t.Fatal("no progress")
-	}
-	v.Pause()
-	if !b.Run(5_000_000, v.Paused) {
-		t.Fatal("no pause")
-	}
-	atPause := v.vm.Stats.Hypercalls
-	// A paused vCPU makes no progress.
-	for i := 0; i < 50_000; i++ {
-		b.Step()
-	}
-	if v.vm.Stats.Hypercalls != atPause {
-		t.Fatal("paused vCPU kept running")
-	}
-	v.Resume()
-	if !b.Run(5_000_000, func() bool { return v.vm.Stats.Hypercalls > atPause+2 }) {
-		t.Fatal("resumed vCPU made no progress")
-	}
 }
 
 func TestSMPGuestRunsProcsOnBothVCPUs(t *testing.T) {

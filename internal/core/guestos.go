@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"kvmarm/internal/arm"
 	"kvmarm/internal/hv"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
@@ -34,63 +31,16 @@ func (vm *VM) NewGuestOS(memBytes uint64) (hv.GuestOS, error) {
 // created) and installs boot shims on each vCPU. Start the vCPU threads
 // to boot it.
 func NewGuestOS(vm *VM, memBytes uint64) (*GuestOS, error) {
-	if len(vm.vcpus) == 0 {
-		return nil, fmt.Errorf("core: create vCPUs before the guest OS")
+	cfg, err := vm.GuestKernelConfig(memBytes)
+	if err != nil {
+		return nil, err
 	}
-	kvm := vm.kvm
+	if vm.kvm.Board.Cfg.HasDirectVIPI {
+		// The §6 direct-VIPI register: guests discover it like any
+		// other device.
+		cfg.HW.VSGIBase = machine.GICVSGIBase
+	}
 	g := &GuestOS{VM: vm}
-
-	phys := &hv.GuestPhysIO{
-		Label: fmt.Sprintf("VM %d", vm.VMID),
-		Cur: func() *arm.CPU {
-			c := kvm.Board.CPUs[kvm.Board.Current]
-			if lv := kvm.low.loaded[c.ID]; lv != nil && lv.vm == vm {
-				return c
-			}
-			return nil
-		},
-		Last: func() *arm.CPU { return vm.lastGuestCPU },
-	}
-
-	k := kernel.New(kernel.Config{
-		Name:    fmt.Sprintf("guest-vm%d", vm.VMID),
-		NumCPUs: len(vm.vcpus),
-		CPU: func(i int) *arm.CPU {
-			v := vm.vcpus[i]
-			if v.phys >= 0 {
-				return kvm.Board.CPUs[v.phys]
-			}
-			if vm.lastGuestCPU != nil {
-				return vm.lastGuestCPU
-			}
-			return kvm.Board.CPUs[0]
-		},
-		HW: kernel.HWConfig{
-			GICDistBase: machine.GICDistBase,
-			GICCPUBase:  machine.GICCPUBase,
-			UARTBase:    machine.UARTBase,
-			NetBase:     machine.VirtNetBase,
-			BlkBase:     machine.VirtBlkBase,
-			ConBase:     machine.VirtConBase,
-			IRQNet:      machine.IRQNet,
-			IRQBlk:      machine.IRQBlk,
-			IRQCon:      machine.IRQCon,
-			VSGIBase:    vsgiBase(kvm),
-		},
-		Mem:       phys,
-		AllocBase: machine.RAMBase + (8 << 20),
-		AllocSize: memBytes - (16 << 20),
-	})
-
-	g.Attach(k, kvm.Board, vm.VCPUs())
+	g.Attach(kernel.New(cfg), vm.kvm.Board, vm.VCPUs())
 	return g, nil
-}
-
-// vsgiBase reports the direct-VIPI register address when the hardware
-// implements the §6 extension (guests discover it like any other device).
-func vsgiBase(kvm *KVM) uint64 {
-	if kvm.Board.Cfg.HasDirectVIPI {
-		return machine.GICVSGIBase
-	}
-	return 0
 }

@@ -7,7 +7,6 @@ import (
 	"kvmarm/internal/isa"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
-	"kvmarm/internal/mmu"
 	"kvmarm/internal/timer"
 	"kvmarm/internal/trace"
 )
@@ -52,10 +51,7 @@ func (h *Highvisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint3
 		// thread then re-enters.
 		exitKind = trace.ExitIRQ
 		v.vm.Stats.IRQExits++
-		v.state = vcpuNeedEnter
-		if v.pauseReq {
-			v.state = vcpuPaused
-		}
+		v.ExitTo(hv.VCPUReady)
 		h.vtimerOnExit(c, v)
 		return
 	case arm.ExcHVC:
@@ -71,13 +67,7 @@ func (h *Highvisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint3
 			exitKind = trace.ExitWFI
 			v.vm.Stats.WFIExits++
 			v.Ctx.GP.PC += 4 // skip the WFI/WFE
-			v.state = vcpuBlockedWFI
-			// A pause posted while the vCPU was loaded must win over the
-			// WFI block, or user space waits on a vCPU that is already
-			// parked under the wrong state.
-			if v.pauseReq {
-				v.state = vcpuPaused
-			}
+			v.ExitTo(hv.VCPUBlocked)
 			h.vtimerOnExit(c, v)
 		case arm.ECDataAbort, arm.ECInstrAbort:
 			exitKind, exitArg = h.handleAbort(c, v, e, insn, insnOK)
@@ -93,10 +83,10 @@ func (h *Highvisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint3
 			v.Ctx.GP.PC += 4
 			h.reenter(c, v)
 		default:
-			v.state = vcpuNeedEnter
+			v.ExitTo(hv.VCPUReady)
 		}
 	default:
-		v.state = vcpuNeedEnter
+		v.ExitTo(hv.VCPUReady)
 	}
 }
 
@@ -104,8 +94,7 @@ func (h *Highvisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint3
 // into the lowvisor and world switch in — unless user space asked for a
 // pause, in which case the vCPU parks with its state saved.
 func (h *Highvisor) reenter(c *arm.CPU, v *VCPU) {
-	if v.pauseReq {
-		v.state = vcpuPaused
+	if v.ParkBeforeReentry() {
 		return
 	}
 	h.kvm.low.CallEnterGuest(c, v)
@@ -117,14 +106,8 @@ func (h *Highvisor) reenter(c *arm.CPU, v *VCPU) {
 func (h *Highvisor) handleHypercall(c *arm.CPU, v *VCPU, e *arm.Exception) {
 	v.vm.Stats.Hypercalls++
 	switch e.Imm {
-	case PSCISystemOff:
-		for _, o := range v.vm.vcpus {
-			if o != v {
-				o.Wake(c.ID) // unblock before marking shutdown
-			}
-			o.state = vcpuShutdown
-		}
-		return
+	case kernel.PSCISystemOff:
+		v.vm.PowerOff(c.ID)
 	default:
 		// Null hypercall: immediately back in.
 		h.reenter(c, v)
@@ -141,55 +124,11 @@ func (h *Highvisor) handleAbort(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint
 	vm := v.vm
 	ipa := e.FaultIPA
 	if vm.Mem.InSlot(ipa) {
-		vm.Stats.Stage2Faults++
-		// A write fault on a copy-on-write shared page (snapshot/fork):
-		// break the sharing — private copy, or in-place reclaim for the
-		// last sharer — and retry. Checked before the dirty log because a
-		// shared page is read-only and so was never in the log's protected
-		// set; left to the paths below it would be remapped to a blank
-		// frame.
-		if vm.S2.CowSharing() {
-			if handled, err := vm.S2.CowFault(ipa); err != nil {
-				v.state = vcpuShutdown
-				return trace.ExitStage2Fault, ipa
-			} else if handled {
-				vm.flushS2Page(ipa)
-				// Break = fault handling plus copying the page.
-				c.Charge(h.kvm.Host.Cost.FaultWork/2 + h.kvm.Host.Cost.PageZero)
-				h.reenter(c, v)
-				return trace.ExitStage2Fault, ipa
-			}
+		if err := vm.ResolveRAMFault(c, ipa); err != nil {
+			v.Shutdown()
+		} else {
+			h.reenter(c, v)
 		}
-		// A write fault on a page the dirty log protected: restore write
-		// access, record the page, drop stale TLB entries, retry. This
-		// must come before the allocation path or a logged page would be
-		// remapped to a fresh (blank) frame.
-		if vm.S2.DirtyLogging() {
-			if dirty, err := vm.S2.DirtyFault(ipa); err != nil {
-				v.state = vcpuShutdown
-				return trace.ExitStage2Fault, ipa
-			} else if dirty {
-				vm.flushS2Page(ipa)
-				c.Charge(h.kvm.Host.Cost.FaultWork / 2)
-				h.reenter(c, v)
-				return trace.ExitStage2Fault, ipa
-			}
-		}
-		// get_user_pages + map into the Stage-2 tables; the faulting
-		// access retries after re-entry.
-		pa, err := h.kvm.Host.Alloc.AllocPages(1)
-		if err != nil {
-			v.state = vcpuShutdown
-			return trace.ExitStage2Fault, ipa
-		}
-		if err := vm.S2.MapPage(uint32(ipa)&^(mmu.PageSize-1), pa, mmu.MapFlags{W: true}); err != nil {
-			v.state = vcpuShutdown
-			return trace.ExitStage2Fault, ipa
-		}
-		// get_user_pages + rmap + memslot bookkeeping, then the page
-		// itself.
-		c.Charge(h.kvm.Host.Cost.FaultWork + h.kvm.Host.Cost.PageZero)
-		h.reenter(c, v)
 		return trace.ExitStage2Fault, ipa
 	}
 
@@ -200,13 +139,13 @@ func (h *Highvisor) handleAbort(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint
 	if !isv {
 		if !insnOK {
 			// Cannot describe the access: treat as a guest bug.
-			v.state = vcpuShutdown
+			v.Shutdown()
 			return trace.ExitOther, ipa
 		}
 		in := isa.Decode(insn)
 		isMem, isStore, _, sz := in.IsMemAccess()
 		if !isMem {
-			v.state = vcpuShutdown
+			v.Shutdown()
 			return trace.ExitOther, ipa
 		}
 		vm.Stats.MMIODecoded++
@@ -214,8 +153,7 @@ func (h *Highvisor) handleAbort(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint
 		c.Charge(200) // decode work
 	}
 	userBefore := vm.Stats.MMIOUserExits
-	h.emulateMMIO(c, v, ipa, write, size, rt)
-	if v.state == vcpuShutdown {
+	if !h.emulateMMIO(c, v, ipa, write, size, rt) {
 		// The access raised a bus error (injected device fault): the vCPU
 		// is dead, do not advance PC or re-enter the guest.
 		return trace.ExitOther, ipa
@@ -231,8 +169,9 @@ func (h *Highvisor) handleAbort(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint
 
 // emulateMMIO routes an MMIO access: the virtual distributor and other
 // in-kernel devices are emulated directly; everything else goes to user
-// space (QEMU), paying the kernel→user→kernel transition.
-func (h *Highvisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, size, rt int) {
+// space (QEMU), paying the kernel→user→kernel transition. It reports false
+// when the access ended in a bus error and shut the vCPU down.
+func (h *Highvisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, size, rt int) bool {
 	vm := v.vm
 	vm.Stats.MMIOExits++
 
@@ -253,7 +192,7 @@ func (h *Highvisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, siz
 			vm.Stats.MMIOUserExits++
 			c.Charge(h.kvm.UserTransitionCycles + h.kvm.QEMUWorkCycles)
 		}
-		return
+		return true
 	}
 
 	// GIC CPU interface: only reachable without VGIC hardware; ACK/EOI
@@ -274,44 +213,17 @@ func (h *Highvisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, siz
 		if !h.kvm.Board.Cfg.HasVGIC {
 			c.VIRQLine = false // recomputed at re-entry
 		}
-		return
+		return true
 	}
 
-	if r, off := vm.mmio.Find(ipa); r != nil {
-		if r.User {
-			vm.Stats.MMIOUserExits++
-			c.Charge(h.kvm.UserTransitionCycles + h.kvm.QEMUWorkCycles)
-		} else {
-			c.Charge(620) // in-kernel device emulation work
-		}
-		var err error
-		if write {
-			err = hv.MMIOWrite(r.H, v, off, size, uint64(v.Ctx.Reg(rt)))
-		} else {
-			var val uint64
-			if val, err = hv.MMIORead(r.H, v, off, size); err == nil {
-				v.Ctx.SetReg(rt, uint32(val))
-			}
-		}
-		if err != nil {
-			// Injected device error: deliver a bus error. The guests here
-			// have no abort recovery, so the vCPU dies on the spot — the
-			// fleet supervisor's re-fork is the recovery story.
-			vm.Stats.BusErrors++
-			if t := h.kvm.Trace; t != nil {
-				t.Emit(trace.Event{Kind: trace.EvGuestBusError, VM: vm.VMID,
-					VCPU: int16(v.ID), CPU: int16(c.ID), PC: v.Ctx.GP.PC, Arg: ipa})
-			}
-			v.state = vcpuShutdown
-		}
-		return
+	// Registered regions: in-kernel device emulation work, or the round
+	// trip to QEMU.
+	val, ok := v.RegionAccess(c, ipa, write, size, uint64(v.Ctx.Reg(rt)),
+		h.kvm.UserTransitionCycles+h.kvm.QEMUWorkCycles, 620)
+	if ok && !write {
+		v.Ctx.SetReg(rt, uint32(val))
 	}
-
-	// Unbacked address: reads as zero, writes ignored (matches KVM's
-	// treatment of stray accesses well enough for a model).
-	if !write {
-		v.Ctx.SetReg(rt, 0)
-	}
+	return ok
 }
 
 // emulateSysReg services trapped MRC/MCR accesses (the Trap-and-Emulate
@@ -329,7 +241,7 @@ func (h *Highvisor) emulateSysReg(c *arm.CPU, v *VCPU, e *arm.Exception) {
 		if read {
 			// Virtual L2 geometry: report the vCPU count in the
 			// number-of-cores field.
-			v.Ctx.SetReg(rt, uint32(len(v.vm.vcpus)-1)<<24)
+			v.Ctx.SetReg(rt, uint32(v.vm.NumVCPUs()-1)<<24)
 		}
 		c.Charge(120)
 	case arm.SysL2ECTLR, arm.SysCSSELR, arm.SysCCSIDR, arm.SysCP14DBG, arm.SysCP14TRC:
@@ -437,7 +349,7 @@ func (h *Highvisor) vtimerOnExit(c *arm.CPU, v *VCPU) {
 		// Mask the (already forwarded) expiry so it is not re-injected
 		// on every subsequent exit.
 		v.Ctx.VTimer.CTL |= timer.CTLIMask
-		h.injectVTimer(c.ID, v)
+		v.vm.VDist.InjectTimer(c.ID, v.ID)
 		return
 	}
 	if v.softTimerID != 0 {
@@ -454,7 +366,7 @@ func (h *Highvisor) armSoftTimer(c *arm.CPU, v *VCPU) {
 	v.softTimerCPU = hostCPU
 	v.softTimerID = h.kvm.Host.AddTimer(hostCPU, c, delay+1, func(_ *kernel.Kernel, cpu int) {
 		v.softTimerID = 0
-		h.injectVTimer(cpu, v)
+		v.vm.VDist.InjectTimer(cpu, v.ID)
 	})
 }
 
@@ -463,16 +375,4 @@ func (h *Highvisor) cancelSoftTimer(c *arm.CPU, v *VCPU) {
 		h.kvm.Host.CancelTimer(v.softTimerCPU, c, v.softTimerID)
 		v.softTimerID = 0
 	}
-}
-
-// injectVTimer delivers the virtual timer interrupt to the vCPU through
-// the virtual distributor, waking it if blocked.
-func (h *Highvisor) injectVTimer(fromHostCPU int, v *VCPU) {
-	v.vm.Stats.VTimerInjected++
-	if t := h.kvm.Trace; t != nil {
-		t.Emit(trace.Event{Kind: trace.EvVTimerInject, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(fromHostCPU), Arg: gic.IRQVirtTimer})
-	}
-	v.vm.VDist.InjectPPI(v, gic.IRQVirtTimer)
-	v.Wake(fromHostCPU)
 }

@@ -1,53 +1,23 @@
 package core
 
 import (
-	"fmt"
-
 	"kvmarm/internal/arm"
-	"kvmarm/internal/dev"
-	"kvmarm/internal/fault"
 	"kvmarm/internal/gic"
 	"kvmarm/internal/hv"
 	"kvmarm/internal/isa"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
-	"kvmarm/internal/mmu"
-	"kvmarm/internal/timer"
 	"kvmarm/internal/trace"
 )
 
-// PSCI function IDs (guest power management hypercalls).
-const (
-	PSCISystemOff uint16 = 0x808
-	PSCICPUOn     uint16 = 0x803
-)
-
-// Backend-neutral aliases: the types this package historically exported
-// now live in internal/hv, shared with the x86 backend.
-type (
-	// MemSlot is a guest-physical memory region backed lazily by host
-	// pages (KVM_SET_USER_MEMORY_REGION).
-	MemSlot = hv.MemSlot
-	// MMIOHandler emulates a device region for a VM.
-	MMIOHandler = hv.MMIOHandler
-	// VMStats counts per-VM hypervisor activity.
-	VMStats = hv.VMStats
-	// VCPUStats counts per-vCPU exits.
-	VCPUStats = hv.VCPUStats
-	// RegID names one guest register in the ONE_REG namespace.
-	RegID = hv.RegID
-)
-
 // KVM is the hypervisor instance: the KVM subsystem of the host kernel.
+// Board/host wiring, the tracer and fault plane, the VM list and VMID
+// allocation are the embedded kit base.
 type KVM struct {
-	Board *machine.Board
-	Host  *kernel.Kernel
+	hv.Base
 
 	low  *Lowvisor
 	high *Highvisor
-
-	vms      []*VM
-	nextVMID uint8
 
 	// LazyVGIC enables the optimisation of §3.5 (skip list-register
 	// save/restore when no virtual interrupts are in flight). The
@@ -63,81 +33,19 @@ type KVM struct {
 	// QEMUWorkCycles is the user-space device emulation work per exit.
 	QEMUWorkCycles uint64
 
-	// Trace is the unified exit/trap event sink (internal/trace). Nil by
-	// default: every emit site pays a single nil-check branch when
-	// tracing is off. Attach with AttachTracer.
-	Trace *trace.Tracer
-
-	// Fault is the fault-injection plane (internal/fault). Nil by
-	// default: every consult site pays a single nil-check branch when
-	// injection is off. Attach with AttachFaultPlane.
-	Fault *fault.Plane
-
 	// Blocks is the decoded basic-block cache shared by every vCPU on
 	// this board, keyed by physical address. SetGuestSoftware wraps guest
 	// interpreters in a block-dispatch runner backed by it; pass an
 	// Interp with SingleStep set to opt a guest out.
 	Blocks *isa.BlockCache
-
-	// vcpuProcs maps host processes to the vCPUs they run, so the host
-	// scheduler's switch/preempt hooks can attribute steal time to the
-	// right VM/vCPU in the trace stream (overcommit observability).
-	vcpuProcs map[*kernel.Proc]*VCPU
 }
 
-// AttachTracer wires t into every layer of the hypervisor: the lowvisor's
-// world switch and trap dispatch, the highvisor's exit handling, the GIC's
-// VGIC traffic, the generic timers, and each physical CPU's TLB. Existing
-// VMs and vCPUs are registered for per-VM/per-vCPU counters; attach before
-// creating VMs to capture boot-time exits too. Passing nil detaches.
+// AttachTracer wires t into every layer of the hypervisor: what the kit
+// base covers (lowvisor and highvisor emit through it; GIC, timers, TLBs)
+// plus the block cache.
 func (k *KVM) AttachTracer(t *trace.Tracer) {
-	k.Trace = t
-	k.Board.GIC.Trace = t
-	if k.Board.Timers != nil {
-		k.Board.Timers.Trace = t
-	}
-	for _, c := range k.Board.CPUs {
-		c.MMU.Trace = t
-	}
-	if k.Blocks != nil {
-		k.Blocks.Trace = t
-	}
-	for _, vm := range k.vms {
-		t.RegisterVM(vm.VMID)
-		for _, v := range vm.vcpus {
-			t.RegisterVCPU(vm.VMID, v.ID)
-		}
-	}
-}
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (k *KVM) Tracer() *trace.Tracer { return k.Trace }
-
-// AttachFaultPlane wires the fault-injection plane into every consult
-// point of this backend: each VM's Stage-2 dirty-log operations, vCPU
-// park requests, and device save/restore. Passing nil detaches.
-func (k *KVM) AttachFaultPlane(p *fault.Plane) {
-	k.Fault = p
-	for _, vm := range k.vms {
-		vm.S2.Fault = p
-		for _, d := range []*dev.Virt{vm.Net, vm.Blk, vm.Con} {
-			if d != nil {
-				d.Fault = p
-			}
-		}
-	}
-}
-
-// FaultPlane returns the attached plane (nil when injection is off).
-func (k *KVM) FaultPlane() *fault.Plane { return k.Fault }
-
-// VMs lists the created VMs.
-func (k *KVM) VMs() []hv.VM {
-	out := make([]hv.VM, len(k.vms))
-	for i, vm := range k.vms {
-		out[i] = vm
-	}
-	return out
+	k.Base.AttachTracer(t)
+	k.Blocks.Trace = t
 }
 
 // Counters exposes the lowvisor's hypervisor-level statistics under
@@ -145,12 +53,12 @@ func (k *KVM) VMs() []hv.VM {
 func (k *KVM) Counters() map[string]uint64 {
 	s := k.low.Stats
 	out := map[string]uint64{
-		"world_switch_in":     s.WorldSwitchIn,
-		"world_switch_out":    s.WorldSwitchOut,
-		"guest_traps":         s.GuestTraps,
-		"host_calls":          s.HostCalls,
-		"vfp_lazy_switches":   s.VFPLazySwitches,
-		"vgic_save_skipped":   s.VGICSaveSkipped,
+		"world_switch_in":      s.WorldSwitchIn,
+		"world_switch_out":     s.WorldSwitchOut,
+		"guest_traps":          s.GuestTraps,
+		"host_calls":           s.HostCalls,
+		"vfp_lazy_switches":    s.VFPLazySwitches,
+		"vgic_save_skipped":    s.VGICSaveSkipped,
 		"vgic_restore_skipped": s.VGICRestoreSkipped,
 	}
 	if k.Blocks != nil {
@@ -164,42 +72,18 @@ func (k *KVM) Counters() map[string]uint64 {
 // Init brings KVM up on a booted host kernel, per the paper's boot
 // protocol: it fails cleanly when the kernel was not entered in Hyp mode.
 func Init(b *machine.Board, host *kernel.Kernel) (*KVM, error) {
-	k := &KVM{
-		Board:                b,
-		Host:                 host,
-		UserTransitionCycles: 3000,
-		QEMUWorkCycles:       1400,
-		vcpuProcs:            make(map[*kernel.Proc]*VCPU),
-	}
+	k := &KVM{UserTransitionCycles: 3000, QEMUWorkCycles: 1400}
+	k.Base.Init(b, host)
 	k.low = newLowvisor(k)
 	k.high = newHighvisor(k)
 	if err := k.low.initHyp(); err != nil {
 		return nil, err
 	}
-	// Host-scheduler observability: when the host multiplexes more vCPU
-	// threads than physical CPUs, surface per-vCPU steal time and
-	// preemptions through the trace stream (kvmarm-stat's scheduling
-	// section). Non-vCPU host processes are accounted on their Proc only.
-	host.OnSchedSwitch = func(cpu int, p *kernel.Proc, wait uint64) {
-		v := k.vcpuProcs[p]
-		if v == nil || wait == 0 || k.Trace == nil {
-			return
-		}
-		k.Trace.Emit(trace.Event{Kind: trace.EvSchedSteal, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(cpu), Cycles: wait << timer.CycleShift, Time: b.CPUs[cpu].Clock})
-	}
-	host.OnSchedPreempt = func(cpu int, p *kernel.Proc) {
-		v := k.vcpuProcs[p]
-		if v == nil || k.Trace == nil {
-			return
-		}
-		k.Trace.Emit(trace.Event{Kind: trace.EvSchedPreempt, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(cpu), Time: b.CPUs[cpu].Clock})
-	}
 	// Decoded basic-block cache: every RAM mutation reports through
 	// mem.OnWrite (self-modifying code, DMA, host writes), and every
 	// CPU's TLB shootdown reaches it via MMU.Code.
 	k.Blocks = isa.NewBlockCache(b.RAM)
+	k.Code = k.Blocks
 	b.RAM.OnWrite = k.Blocks.OnWrite
 	for _, c := range b.CPUs {
 		c.MMU.Code = k.Blocks
@@ -236,236 +120,58 @@ func Init(b *machine.Board, host *kernel.Kernel) (*KVM, error) {
 // Lowvisor exposes the Hyp-mode component (benchmark instrumentation).
 func (k *KVM) Lowvisor() *Lowvisor { return k.low }
 
-// VM is one virtual machine.
+// VM is one virtual machine: the kit's VM core (Stage-2 table and guest
+// memory, devices, dirty log, fault resolution, device save/restore) plus
+// the virtual distributor.
 type VM struct {
-	kvm  *KVM
-	VMID uint8
-	// S2 is the Stage-2 page table (IPA → PA), owned by the highvisor.
-	// (The same table GuestMem populates on host-side accesses.)
-	S2    *mmu.Builder
-	Mem   hv.GuestMem
+	hv.VMCore
+	kvm   *KVM
 	VDist *hv.VDist
-	vcpus []*VCPU
-
-	mmio hv.Regions
-
-	// Virtual devices (QEMU-side models; completions raise virtual SPIs
-	// through the virtual distributor).
-	Net *dev.Virt
-	Blk *dev.Virt
-	Con *dev.Virt
-	// Console collects virtual UART output.
-	Console []byte
-
-	// lastGuestCPU is the physical CPU most recently executing this VM
-	// (set on world switch in; the guest-physical I/O adapter uses it).
-	lastGuestCPU *arm.CPU
-
-	Stats VMStats
 }
 
 // CreateVM builds a VM with memBytes of guest RAM at the canonical base.
 func (k *KVM) CreateVM(memBytes uint64) (hv.VM, error) {
-	k.nextVMID++
-	if k.nextVMID == 0 {
-		return nil, fmt.Errorf("core: out of VMIDs")
-	}
-	s2, err := mmu.NewBuilder(mmu.TableStage2, k.Board.RAM, k.Host.Alloc)
-	if err != nil {
+	vm := &VM{kvm: k}
+	vm.IdleState = "wfi"
+	if err := k.InitVM(&vm.VMCore, memBytes); err != nil {
 		return nil, err
 	}
-	vm := &VM{kvm: k, VMID: k.nextVMID, S2: s2}
-	s2.Fault = k.Fault
-	s2.Code = k.Blocks
-	vm.Mem = hv.GuestMem{Table: s2, Alloc: k.Host.Alloc, RAM: k.Board.RAM}
-	vm.Mem.FlushPage = vm.flushS2Page
-	vm.Mem.FlushAll = vm.flushTLBs
-	if err := vm.Mem.AddSlot(machine.RAMBase, memBytes); err != nil {
+	vm.VDist = hv.NewVDist(k.Board, vm.VMID, &vm.Stats, k.Tracer)
+	if err := hv.MapVGIC(k.Board, vm.Mem.Table); err != nil {
 		return nil, err
 	}
-	vm.VDist = hv.NewVDist(k.Board, vm.VMID, &vm.Stats, func() *trace.Tracer { return k.Trace })
-	k.Trace.RegisterVM(vm.VMID)
-
-	if k.Board.Cfg.HasVGIC {
-		// Map the VGIC virtual CPU interface at the IPA where guests
-		// expect the GIC CPU interface (§3.5): ACK/EOI run without
-		// traps, on the same driver the host uses.
-		if err := s2.MapPage(uint32(machine.GICCPUBase), machine.GICVBase, mmu.MapFlags{W: true}); err != nil {
-			return nil, err
-		}
-	}
-	if k.Board.Cfg.HasDirectVIPI {
-		// §6 extension: the direct virtual-SGI register is guest-visible.
-		if err := s2.MapPage(uint32(machine.GICVSGIBase), machine.GICVSGIBase, mmu.MapFlags{W: true}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Default emulated devices, mirroring the host board's layout so the
-	// unmodified guest kernel discovers them at the same addresses.
 	// Virtio block and network are emulated in QEMU (user space); the
-	// console UART too.
-	if err := k.Fault.Fail(fault.PtDevBringup); err != nil {
-		return nil, fmt.Errorf("core: device bring-up for vm %d: %w", vm.VMID, err)
+	// console UART too. Completions raise virtual SPIs through the
+	// virtual distributor.
+	if err := vm.BringUp(vm, vm.VDist); err != nil {
+		return nil, err
 	}
-	vm.Net, vm.Blk, vm.Con = hv.StandardDevices(k.Board, vm, func(irq int, level bool) {
-		vm.VDist.InjectSPI(irq, level)
-	}, &vm.Console)
-	vm.Net.Fault, vm.Blk.Fault, vm.Con.Fault = k.Fault, k.Fault, k.Fault
-
-	k.vms = append(k.vms, vm)
 	return vm, nil
 }
 
-// ID is the VMID (tags the VM's TLB entries).
-func (vm *VM) ID() uint8 { return vm.VMID }
-
-// GuestMemory exposes the slot bookkeeping and Stage-2 table for snapshot
-// capture and copy-on-write fork.
-func (vm *VM) GuestMemory() *hv.GuestMem { return &vm.Mem }
-
-// Device returns the VM's emulated virtio-style device of class, or nil.
-func (vm *VM) Device(class dev.VirtClass) *dev.Virt {
-	switch class {
-	case dev.VirtNet:
-		return vm.Net
-	case dev.VirtBlock:
-		return vm.Blk
-	case dev.VirtConsole:
-		return vm.Con
-	}
-	return nil
-}
-
-// ConsoleBytes returns the virtual UART output collected so far.
-func (vm *VM) ConsoleBytes() []byte { return vm.Console }
-
-// StatsSnapshot copies out the per-VM activity counters.
-func (vm *VM) StatsSnapshot() hv.VMStats { return vm.Stats }
-
-// AddUserMMIO registers a QEMU-emulated region (I/O User path).
-func (vm *VM) AddUserMMIO(base, size uint64, h MMIOHandler) {
-	vm.mmio.Add(base, size, h, true)
-}
-
-// AddKernelMMIO registers an in-kernel emulated region (I/O Kernel path,
-// like vhost).
-func (vm *VM) AddKernelMMIO(base, size uint64, h MMIOHandler) {
-	vm.mmio.Add(base, size, h, false)
-}
-
-// EnsureMapped populates the Stage-2 mapping for the page containing ipa
-// (the host/QEMU touching guest memory faults it in just like the guest
-// would) and returns the backing PA.
-func (vm *VM) EnsureMapped(ipa uint64) (uint64, error) {
-	return vm.Mem.EnsureMapped(ipa)
-}
-
-// WriteGuestMem copies data into guest-physical memory, populating Stage-2
-// mappings as needed (QEMU loading a guest image).
-func (vm *VM) WriteGuestMem(ipa uint64, data []byte) error {
-	return vm.Mem.Write(ipa, data)
-}
-
-// ReadGuestMem copies guest-physical memory out (QEMU inspecting a guest).
-func (vm *VM) ReadGuestMem(ipa uint64, n int) ([]byte, error) {
-	return vm.Mem.Read(ipa, n)
-}
-
-// SetUserMemoryRegion adds a guest RAM slot.
-func (vm *VM) SetUserMemoryRegion(ipaBase, size uint64) error {
-	return vm.Mem.AddSlot(ipaBase, size)
-}
-
-func (vm *VM) noteGuestCPU(c *arm.CPU) { vm.lastGuestCPU = c }
-
-// VCPUs returns the VM's vCPUs.
-func (vm *VM) VCPUs() []hv.VCPU {
-	out := make([]hv.VCPU, len(vm.vcpus))
-	for i, v := range vm.vcpus {
-		out[i] = v
-	}
-	return out
-}
-
-type vcpuState int
-
-const (
-	vcpuNeedEnter vcpuState = iota
-	vcpuRunning
-	vcpuBlockedWFI
-	vcpuPaused
-	vcpuShutdown
-)
-
-// VCPU is one virtual CPU.
+// VCPU is one virtual CPU: the kit's vCPU core (run-state machine, host
+// thread, ONE_REG) plus the world-switch context.
 type VCPU struct {
+	hv.VCPUCore
 	vm  *VM
-	ID  int
 	Ctx GuestContext
-
-	phys  int
-	state vcpuState
-	wq    *kernel.WaitQueue
-	proc  *kernel.Proc
-
-	// insnMark is the physical CPU's retired-instruction count at the
-	// last world-switch in; the switch out accumulates the delta into
-	// Stats.GuestInsns (per-vCPU architectural progress).
-	insnMark uint64
 
 	// vtimer soft-timer bookkeeping while the vCPU is out of the CPU.
 	softTimerID  uint64
 	softTimerCPU int
-
-	// pauseReq asks the run loop to park the vCPU at its next exit
-	// (user-space pause for register access / migration).
-	pauseReq bool
-
-	Stats VCPUStats
 }
 
 // CreateVCPU adds a vCPU to the VM.
 func (vm *VM) CreateVCPU(id int) (hv.VCPU, error) {
-	if id != len(vm.vcpus) {
-		return nil, fmt.Errorf("core: vCPUs must be created in order")
-	}
-	host0 := vm.kvm.Board.CPUs[0]
-	v := &VCPU{
-		vm:   vm,
-		ID:   id,
-		phys: -1,
-		wq:   kernel.NewWaitQueue(fmt.Sprintf("vcpu%d.%d", vm.VMID, id)),
+	v := &VCPU{vm: vm}
+	if err := vm.InitVCPU(&v.VCPUCore, v, &v.Ctx.GuestRegs, id); err != nil {
+		return nil, err
 	}
 	v.Ctx.GP.CPSR = uint32(arm.ModeSVC) | arm.PSRI | arm.PSRF | arm.PSRA
-	v.Ctx.VPIDR = host0.CP15.Regs[arm.SysMIDR]
+	v.Ctx.VPIDR = vm.kvm.Board.CPUs[0].CP15.Regs[arm.SysMIDR]
 	v.Ctx.VMPIDR = 0x8000_0000 | uint32(id)
-	vm.vcpus = append(vm.vcpus, v)
-	vm.VDist.AddVCPU(v)
-	vm.kvm.Trace.RegisterVCPU(vm.VMID, id)
+	vm.VDist.AddVCPU(v, &v.Ctx.VGIC)
 	return v, nil
-}
-
-// VCPUID is the vCPU index within its VM.
-func (v *VCPU) VCPUID() int { return v.ID }
-
-// PhysCPU is the physical CPU currently executing this vCPU (-1 if none).
-func (v *VCPU) PhysCPU() int { return v.phys }
-
-// BlockedWFI reports whether the vCPU thread is parked in WFI.
-func (v *VCPU) BlockedWFI() bool { return v.state == vcpuBlockedWFI }
-
-// ExitStats copies out the per-vCPU entry/exit counters, merging in the
-// host scheduler's accounting for the vCPU's thread (steal time and
-// preemptions — the overcommit fairness measures).
-func (v *VCPU) ExitStats() hv.VCPUStats {
-	st := v.Stats
-	if p := v.proc; p != nil {
-		st.StealTicks = p.RunDelayTicks
-		st.Preemptions = p.Preemptions
-		st.SchedSlices = p.SchedSlices
-	}
-	return st
 }
 
 // SetGuestSoftware installs the guest's kernel-mode software context: the
@@ -473,168 +179,28 @@ func (v *VCPU) ExitStats() hv.VCPUStats {
 // A guest Interp is wrapped in the board's block-dispatch runner unless it
 // opted out with SingleStep; other runner types pass through unchanged.
 func (v *VCPU) SetGuestSoftware(h arm.ExcHandler, r arm.Runner) {
-	v.Ctx.PL1Software = h
-	if it, ok := r.(*isa.Interp); ok && !it.SingleStep && v.vm.kvm.Blocks != nil {
+	if it, ok := r.(*isa.Interp); ok && !it.SingleStep {
 		r = &isa.BlockRunner{It: it, Cache: v.vm.kvm.Blocks}
 	}
-	v.Ctx.Runner = r
+	v.VCPUCore.SetGuestSoftware(h, r)
 }
 
-// VM returns the owning VM.
-func (v *VCPU) VM() *VM { return v.vm }
-
-// State reports the vCPU's run state (for tests and the harness).
-func (v *VCPU) State() string {
-	switch v.state {
-	case vcpuNeedEnter:
-		return "ready"
-	case vcpuRunning:
-		return "running"
-	case vcpuBlockedWFI:
-		return "wfi"
-	case vcpuPaused:
-		return "paused"
-	case vcpuShutdown:
-		return "shutdown"
-	}
-	return "?"
-}
-
-// Pause asks the vCPU to stop at its next exit, kicking it out of the
-// guest if it is currently running (the user-space pause used for
-// debugging and migration, §4).
-func (v *VCPU) Pause() {
-	if v.vm.kvm.Fault.Stuck(fault.PtVCPUPark) {
-		// Injected stuck-vCPU fault: the park request is lost and the
-		// vCPU keeps running. The migration park-watchdog must notice.
-		return
-	}
-	v.pauseReq = true
-	if v.phys >= 0 && v.phys != v.vm.kvm.Board.Current {
-		_ = v.vm.kvm.Board.GIC.SendSGI(v.vm.kvm.Board.Current, 1<<uint(v.phys), 2)
-	}
-	if v.state == vcpuNeedEnter || v.state == vcpuBlockedWFI {
-		v.state = vcpuPaused
-	}
-}
-
-// Paused reports whether the vCPU is parked.
-func (v *VCPU) Paused() bool { return v.state == vcpuPaused }
-
-// Resume lets a paused vCPU run again.
-func (v *VCPU) Resume() {
-	v.pauseReq = false
-	if v.state == vcpuPaused {
-		v.state = vcpuNeedEnter
-		v.vm.kvm.Host.Wake(v.vm.kvm.Board.Current, v.wq)
-	}
-}
-
-// Shutdown marks the vCPU (and its thread) as finished.
-func (v *VCPU) Shutdown() { v.state = vcpuShutdown }
-
-// StartThread creates the host process (the "QEMU vCPU thread") that runs
-// this vCPU, pinned to hostCPU (-1 for any). A pin beyond the board's CPU
-// count wraps modulo — overcommit placement may hand out more vCPU
-// threads than physical CPUs and the host scheduler time-slices them.
-// The thread loops on the KVM_RUN ioctl; exits that need user space are
-// handled inline with QEMU costs charged.
-func (v *VCPU) StartThread(hostCPU int) (*kernel.Proc, error) {
+// EnterGuest is the backend half of ioctl(KVM_RUN): the user → kernel
+// transition, then HVC into the lowvisor (the double trap's first half).
+// Exits that need user space are handled inline with QEMU costs charged.
+func (v *VCPU) EnterGuest(c *arm.CPU) {
 	k := v.vm.kvm
-	if n := len(k.Board.CPUs); hostCPU >= n {
-		hostCPU %= n
-	}
-	body := kernel.BodyFunc(func(hk *kernel.Kernel, p *kernel.Proc, c *arm.CPU) bool {
-		return v.runStep(hostCPU, c)
-	})
-	from := hostCPU
-	if from < 0 {
-		from = 0
-	}
-	proc, err := k.Host.NewProcFrom(from, fmt.Sprintf("qemu-vcpu%d.%d", v.vm.VMID, v.ID), hostCPU, body)
-	if err != nil {
-		return nil, err
-	}
-	v.proc = proc
-	k.vcpuProcs[proc] = v
-	return proc, nil
-}
-
-// runStep is one iteration of the vCPU thread: the KVM_RUN ioctl.
-func (v *VCPU) runStep(hostCPU int, c *arm.CPU) bool {
-	k := v.vm.kvm
-	switch v.state {
-	case vcpuShutdown:
-		return true
-	case vcpuPaused:
-		hostIdx := hostCPU
-		if hostIdx < 0 {
-			hostIdx = c.ID
-		}
-		k.Host.Block(hostIdx, v.wq)
-		return false
-	case vcpuBlockedWFI:
-		if v.hasPendingVirq() {
-			v.state = vcpuNeedEnter
-		} else {
-			// Block the vCPU thread on the host wait queue; virtual
-			// interrupt injection wakes it (§3.6 for the timer case).
-			hostIdx := hostCPU
-			if hostIdx < 0 {
-				hostIdx = c.ID
-			}
-			k.Host.Block(hostIdx, v.wq)
-			return false
-		}
-	case vcpuRunning:
-		// Already in guest (should not happen from the thread).
-		return false
-	}
-
-	// ioctl(KVM_RUN): user → kernel transition, then HVC into the
-	// lowvisor (the double trap's first half).
 	prev := c.CPSR
 	c.Charge(c.Cost.TrapToPL1 + k.Host.Cost.SyscallWork/2)
 	c.SetCPSR(uint32(arm.ModeSVC) | (prev &^ arm.PSRModeMask))
 	v.Stats.Entries++
 	k.low.CallEnterGuest(c, v)
-	// The CPU now runs the guest; this thread resumes when the
-	// highvisor returns an exit to user space (deferred states).
-	return false
-}
-
-// hasPendingVirq reports whether any virtual interrupt awaits this vCPU:
-// in the virtual distributor's software state, or already staged in a
-// (saved) list register. An interrupt can be in the second category when
-// it was flushed to the hardware just before the guest executed WFI — the
-// exit then parks it inside the saved VGIC context, and the WFI block
-// check must still see it or the vCPU sleeps through its wakeup.
-func (v *VCPU) hasPendingVirq() bool {
-	if v.vm.VDist.HasPendingFor(v) {
-		return true
-	}
-	for i := range v.Ctx.VGIC.LR {
-		st := v.Ctx.VGIC.LR[i].State
-		if st == gic.LRPending || st == gic.LRPendingActive {
-			return true
-		}
-	}
-	return false
-}
-
-// Wake unblocks a WFI-blocked vCPU (virtual interrupt arrived). May be
-// called from interrupt context on any host CPU.
-func (v *VCPU) Wake(fromHostCPU int) {
-	if v.state == vcpuBlockedWFI {
-		v.state = vcpuNeedEnter
-		v.vm.kvm.Host.Wake(fromHostCPU, v.wq)
-	}
 }
 
 // Interface conformance (compile-time).
 var (
-	_ hv.Hypervisor = (*KVM)(nil)
-	_ hv.VM         = (*VM)(nil)
-	_ hv.VCPU       = (*VCPU)(nil)
-	_ hv.GuestOS    = (*GuestOS)(nil)
+	_ hv.Hypervisor  = (*KVM)(nil)
+	_ hv.VM          = (*VM)(nil)
+	_ hv.BackendVCPU = (*VCPU)(nil)
+	_ hv.GuestOS     = (*GuestOS)(nil)
 )

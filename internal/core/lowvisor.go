@@ -13,7 +13,6 @@ import (
 const (
 	HVCInstallVectors uint16 = 0xE00
 	HVCEnterGuest     uint16 = 0xE01
-	HVCFlushVMID      uint16 = 0xE02
 )
 
 // LowvisorStats instruments the Hyp-mode component.
@@ -174,9 +173,6 @@ func (lv *Lowvisor) hostCall(c *arm.CPU, e *arm.Exception) {
 		v := lv.pendingEnter[c.ID]
 		lv.pendingEnter[c.ID] = nil
 		lv.worldSwitchIn(c, v)
-	case HVCFlushVMID:
-		c.MMU.FlushVMID(uint8(c.Regs.R(0)))
-		c.ERET()
 	default:
 		c.ERET()
 	}
@@ -246,7 +242,7 @@ func (lv *Lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
 
 	// (8) Set the Stage-2 page table base register (VTTBR); enabling
 	// Stage-2 is part of the HCR value installed in step 6.
-	c.CP15.Write64(arm.SysVTTBRLo, v.vm.S2.Root|uint64(v.vm.VMID)<<48)
+	c.CP15.Write64(arm.SysVTTBRLo, v.vm.Mem.Table.Root|uint64(v.vm.VMID)<<48)
 	c.Charge(c.Cost.SysRegMove)
 
 	// (9) Restore all guest GP registers.
@@ -257,10 +253,7 @@ func (lv *Lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
 	c.PL1Handler = v.Ctx.PL1Software
 	c.Runner = v.Ctx.Runner
 	lv.loaded[c.ID] = v
-	v.phys = c.ID
-	v.insnMark = c.Insns
-	v.state = vcpuRunning
-	v.vm.noteGuestCPU(c)
+	v.Loaded(c)
 	c.SetCPSR(v.Ctx.GP.CPSR)
 	c.Charge(c.Cost.ERET)
 
@@ -361,8 +354,7 @@ func (lv *Lowvisor) worldSwitchOut(c *arm.CPU, v *VCPU) {
 	c.PL1Handler = hc.PL1Software
 	c.Runner = hc.Runner
 	lv.loaded[c.ID] = nil
-	v.phys = -1
-	v.Stats.GuestInsns += c.Insns - v.insnMark
+	v.Unloaded(c)
 	c.VIRQLine = false
 	c.SetCPSR(hc.CPSR)
 	c.Charge(c.Cost.ERET)

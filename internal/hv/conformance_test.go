@@ -3,11 +3,13 @@
 // alone. The test never names a concrete hypervisor type — new backends
 // are covered the moment they register. Each backend runs the same
 // matrix: single-vCPU boot, SMP guest-OS boot, MMIO round trips through
-// registered kernel and user regions, the ONE_REG save/restore interface,
-// and pause/resume semantics.
+// registered kernel and user regions, the ONE_REG save/restore interface
+// with its not-while-running rule, pause/resume semantics, and VMID
+// allocation up to exhaustion.
 package hv_test
 
 import (
+	"errors"
 	"testing"
 
 	_ "kvmarm" // registers the ARM and x86 backends
@@ -139,6 +141,7 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("mmio", func(t *testing.T) { testMMIORoundTrip(t, be) })
 			t.Run("onereg", func(t *testing.T) { testOneReg(t, be) })
 			t.Run("pause", func(t *testing.T) { testPauseResume(t, be) })
+			t.Run("vmids", func(t *testing.T) { testVMIDExhaustion(t, be) })
 		})
 	}
 }
@@ -275,8 +278,8 @@ func testOneReg(t *testing.T, be *hv.Backend) {
 		t.Fatal(err)
 	}
 	ids := hv.RegList()
-	if len(ids) == 0 {
-		t.Fatal("empty register list")
+	if len(ids) < 38 {
+		t.Fatalf("register list has %d entries, want at least the Table 1 GP set", len(ids))
 	}
 	seen := map[hv.RegID]bool{}
 	for i, id := range ids {
@@ -325,6 +328,32 @@ func testOneReg(t *testing.T, be *hv.Backend) {
 			t.Errorf("reg %#x after restore: got %#x, want %#x", uint32(id), got, want)
 		}
 	}
+
+	// The not-while-running rule: a vCPU loaded on a physical CPU keeps
+	// its registers in hardware, so both accessors must refuse until it
+	// is parked. (The loop hypercalls so a park request gets an exit to
+	// land on; rawGuest runs with interrupts masked.)
+	spin := isa.NewAsm(machine.RAMBase).Label("loop").ADDI(isa.R5, isa.R5, 1).HVC(1).B("loop").MustAssemble()
+	env, _, rv := rawGuest(t, be, spin)
+	if _, err := rv.StartThread(0); err != nil {
+		t.Fatal(err)
+	}
+	if !env.Board.Run(5_000_000, func() bool { return rv.State() == "running" }) {
+		t.Fatalf("spinning guest never observed running (state=%s)", rv.State())
+	}
+	if _, err := rv.GetOneReg(hv.RegPC); err == nil {
+		t.Error("GetOneReg on a running vCPU must fail")
+	}
+	if err := rv.SetOneReg(hv.RegPC, machine.RAMBase); err == nil {
+		t.Error("SetOneReg on a running vCPU must fail")
+	}
+	rv.Pause()
+	if !env.Board.Run(10_000_000, rv.Paused) {
+		t.Fatalf("spinning guest did not park (state=%s)", rv.State())
+	}
+	if r5, err := rv.GetOneReg(hv.RegGP(5)); err != nil || r5 == 0 {
+		t.Errorf("parked vCPU r5 = %d, %v; want its loop count", r5, err)
+	}
 }
 
 // testPauseResume checks the user-space pause protocol of §4: a pause
@@ -355,12 +384,53 @@ func testPauseResume(t *testing.T, be *hv.Backend) {
 	if _, err := v.GetOneReg(hv.RegPC); err != nil {
 		t.Errorf("GetOneReg on paused vCPU: %v", err)
 	}
+	// A paused vCPU makes no progress.
 	entries := v.ExitStats().Entries
+	for i := 0; i < 50_000; i++ {
+		env.Board.Step()
+	}
+	if got := v.ExitStats().Entries; got != entries {
+		t.Errorf("paused vCPU entered the guest %d more times", got-entries)
+	}
 	v.Resume()
 	if v.Paused() {
 		t.Error("vCPU still paused after Resume")
 	}
 	if !env.Board.Run(20_000_000, func() bool { return v.ExitStats().Entries > entries }) {
 		t.Fatalf("vCPU did not re-enter the guest after Resume (state=%s)", v.State())
+	}
+}
+
+// testVMIDExhaustion creates VMs until the backend runs out of VMIDs. The
+// TLB tags translations with an 8-bit VMID and reserves 0 for the host's
+// own, so exactly 255 VMs fit; one more must fail with the typed error —
+// and keep failing — rather than wrap onto the host's tag or a live VM's.
+func testVMIDExhaustion(t *testing.T, be *hv.Backend) {
+	env, err := be.NewEnv(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint8]bool{}
+	for i := 0; i < 255; i++ {
+		vm, err := env.HV.CreateVM(16 << 20)
+		if err != nil {
+			t.Fatalf("VM %d: %v", i+1, err)
+		}
+		id := vm.ID()
+		if id == 0 {
+			t.Fatalf("VM %d got VMID 0, the host's TLB tag", i+1)
+		}
+		if seen[id] {
+			t.Fatalf("VM %d got VMID %d, already in use", i+1, id)
+		}
+		seen[id] = true
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := env.HV.CreateVM(16 << 20); !errors.Is(err, hv.ErrOutOfVMIDs) {
+			t.Fatalf("VM %d: err = %v, want ErrOutOfVMIDs", 256+i, err)
+		}
+	}
+	if n := len(env.HV.VMs()); n != 255 {
+		t.Errorf("VMs() = %d, want 255", n)
 	}
 }

@@ -5,15 +5,15 @@ import (
 	"kvmarm/internal/machine"
 )
 
-// StandardDevices creates the default emulated device set every VM gets —
+// standardDevices creates the default emulated device set every VM gets —
 // virtio-style network, block and console models plus the UART, all
 // QEMU-emulated (user space), mirroring the host board's layout so the
 // unmodified guest kernel discovers them at the same addresses. raise is
 // the backend's virtual-interrupt injection path (virtual distributor or
-// APIC); console receives UART output. The NIC's frame DMA goes through
+// APIC); UART output lands in vm.Console. The NIC's frame DMA goes through
 // the VM's guest-memory accessors, so TX reads and RX delivery behave like
 // any other host-side access (copy-on-write breaks, dirty-log marking).
-func StandardDevices(b *machine.Board, vm VM, raise func(irq int, level bool), console *[]byte) (net, blk, con *dev.Virt) {
+func standardDevices(b *machine.Board, vm *VMCore, raise func(irq int, level bool)) (net, blk, con *dev.Virt) {
 	newDev := func(class dev.VirtClass, irq int, num, den, lat uint64) *dev.Virt {
 		return &dev.Virt{
 			Class: class, IRQ: irq,
@@ -34,6 +34,6 @@ func StandardDevices(b *machine.Board, vm VM, raise func(irq int, level bool), c
 	vm.AddUserMMIO(machine.VirtNetBase, dev.VirtSize, &VirtMMIO{net})
 	vm.AddUserMMIO(machine.VirtBlkBase, dev.VirtSize, &VirtMMIO{blk})
 	vm.AddUserMMIO(machine.VirtConBase, dev.VirtSize, &VirtMMIO{con})
-	vm.AddUserMMIO(machine.UARTBase, dev.UARTSize, &UARTMMIO{console})
+	vm.AddUserMMIO(machine.UARTBase, dev.UARTSize, &UARTMMIO{&vm.Console})
 	return net, blk, con
 }

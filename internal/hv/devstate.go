@@ -60,35 +60,63 @@ type ICState struct {
 	SPI     []VIRQ
 }
 
-// DrainLRs folds interrupts still staged in a saved VGIC CPU-interface
-// context back into the software model and clears the saved registers.
-// Migration runs it per vCPU before SaveState: a paused vCPU's ACKed or
-// pending interrupts live in its saved list registers, and hardware
-// list-register state does not travel.
-func (d *VDist) DrainLRs(v VDistVCPU, saved *gic.VGICCpu) {
+// Family: VGIC/VDist state restores into any ARM backend, which is what
+// makes split-mode → VHE migration work at all.
+func (d *VDist) Family() string { return "arm" }
+
+// SaveIC serializes the distributor with every vCPU paused. State still
+// parked in list registers is folded back into the software model first:
+// LRs are per-source-CPU hardware and do not travel.
+func (d *VDist) SaveIC() *ICState {
+	for i := range d.vcpus {
+		d.drainLRs(i)
+	}
+	return d.saveState()
+}
+
+// RestoreIC installs a saved distributor state and, with a VGIC,
+// re-stages the interrupts the guest had acknowledged: they must be
+// sitting in list registers when the vCPU next runs, or its EOI writes
+// will find nothing to deactivate.
+func (d *VDist) RestoreIC(st *ICState) error {
+	if err := d.restoreState(st); err != nil {
+		return err
+	}
+	if d.Board.Cfg.HasVGIC {
+		for i := range d.vcpus {
+			d.restageActive(i)
+		}
+	}
+	return nil
+}
+
+// drainLRs folds interrupts still staged in a vCPU's saved VGIC
+// CPU-interface context back into the software model and clears the saved
+// registers: a paused vCPU's ACKed or pending interrupts live there.
+func (d *VDist) drainLRs(vcpu int) {
+	saved := d.saved[vcpu]
 	for i := range saved.LR {
 		lr := &saved.LR[i]
 		if lr.State == gic.LRInvalid {
 			continue
 		}
-		if s := d.irq(v.VCPUID(), lr.VirtID); s != nil {
+		if s := d.irq(vcpu, lr.VirtID); s != nil {
 			if lr.State == gic.LRPending || lr.State == gic.LRPendingActive {
 				s.pending = true
 			}
 			if lr.State == gic.LRActive || lr.State == gic.LRPendingActive {
 				s.active = true
-				s.activeOn = int8(v.VCPUID())
+				s.activeOn = int8(vcpu)
 			}
 		}
 		*lr = gic.ListReg{}
 	}
 }
 
-// SaveState serializes the software distributor model. Call DrainLRs for
-// every vCPU first so no interrupt instance is left staged; instance
-// counters (an edge raised while its predecessor was in flight) collapse
-// into plain pending state.
-func (d *VDist) SaveState() *ICState {
+// saveState serializes the software distributor model, after drainLRs has
+// left no interrupt instance staged; instance counters (an edge raised
+// while its predecessor was in flight) collapse into plain pending state.
+func (d *VDist) saveState() *ICState {
 	st := &ICState{Enabled: d.enabled, SPI: make([]VIRQ, len(d.spi))}
 	for i := range d.vcpus {
 		priv := make([]VIRQ, gic.SPIBase)
@@ -104,9 +132,9 @@ func (d *VDist) SaveState() *ICState {
 	return st
 }
 
-// RestoreState installs a saved distributor state. The vCPU count must
+// restoreState installs a saved distributor state. The vCPU count must
 // match the save side's.
-func (d *VDist) RestoreState(st *ICState) error {
+func (d *VDist) restoreState(st *ICState) error {
 	if len(st.Priv) != len(d.vcpus) {
 		return fmt.Errorf("hv: interrupt state for %d vCPUs, VM has %d", len(st.Priv), len(d.vcpus))
 	}
@@ -126,13 +154,13 @@ func (d *VDist) RestoreState(st *ICState) error {
 	return nil
 }
 
-// RestageActive rebuilds the list-register context for one destination
+// restageActive rebuilds the list-register context for one destination
 // vCPU: every interrupt the guest had ACKed (active) on the source must
 // sit in a list register again, or its eventual EOI through the VGIC CPU
-// interface would find nothing to retire. Backends with a VGIC call it
-// per vCPU after RestoreState, writing into the vCPU's saved VGIC context
-// (loaded by the next world switch in).
-func (d *VDist) RestageActive(vcpuID int, vg *gic.VGICCpu) {
+// interface would find nothing to retire. It writes into the vCPU's saved
+// VGIC context (loaded by the next world switch in).
+func (d *VDist) restageActive(vcpuID int) {
+	vg := d.saved[vcpuID]
 	lr := 0
 	stage := func(id int, s *virqState) {
 		if !s.active || lr >= len(vg.LR) {
@@ -178,33 +206,4 @@ func importVIRQ(s *virqState, v VIRQ) {
 	if v.Pending {
 		s.raised = 1
 	}
-}
-
-// SaveVirtDevices snapshots the standard virtio trio (any may be nil).
-func SaveVirtDevices(net, blk, con *dev.Virt) map[dev.VirtClass]*dev.VirtState {
-	out := make(map[dev.VirtClass]*dev.VirtState)
-	for class, d := range map[dev.VirtClass]*dev.Virt{
-		dev.VirtNet: net, dev.VirtBlock: blk, dev.VirtConsole: con,
-	} {
-		if d != nil {
-			out[class] = d.SaveState()
-		}
-	}
-	return out
-}
-
-// RestoreVirtDevices installs snapshots onto the destination's devices,
-// re-issuing in-flight I/O on its board.
-func RestoreVirtDevices(st map[dev.VirtClass]*dev.VirtState, net, blk, con *dev.Virt) error {
-	devs := map[dev.VirtClass]*dev.Virt{
-		dev.VirtNet: net, dev.VirtBlock: blk, dev.VirtConsole: con,
-	}
-	for class, s := range st {
-		d := devs[class]
-		if d == nil {
-			return fmt.Errorf("hv: snapshot has state for device class %d but destination lacks it", class)
-		}
-		d.RestoreState(s)
-	}
-	return nil
 }

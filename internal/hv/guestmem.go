@@ -24,22 +24,22 @@ type PhysMem interface {
 	WriteBytes(addr uint64, src []byte) error
 }
 
-// GuestMem is the guest-physical memory bookkeeping both backends share:
+// GuestMem is the guest-physical memory bookkeeping all backends share:
 // the slot list, lazy second-stage population, and the chunked
-// user-space-style copies in and out of guest memory. The backend owns
-// the page table (Stage-2 or EPT — the same two-dimensional walk model)
-// and hands it in as Table.
+// user-space-style copies in and out of guest memory. Table is the
+// second-stage page table (Stage-2 or EPT — the same two-dimensional walk
+// model); Base.InitVM builds both for a VM.
 type GuestMem struct {
 	Table *mmu.Builder
 	Alloc PageAllocator
 	RAM   PhysMem
 	Slots []MemSlot
 
-	// FlushPage / FlushAll, when set by the backend, invalidate this VM's
-	// TLB entries after a single-page permission change (a host-side
-	// copy-on-write break) or a whole-table one (a snapshot freeze). The
-	// GuestMem does not own TLBs, so without these callbacks the backend
-	// must flush around Freeze/Write itself.
+	// FlushPage / FlushAll invalidate this VM's TLB entries after a
+	// single-page permission change (a copy-on-write break) or a
+	// whole-table one (a snapshot freeze). The GuestMem does not own
+	// TLBs: the kit points these at the board's CPUs, and a bare GuestMem
+	// (unit tests) leaves them nil.
 	FlushPage func(ipa uint64)
 	FlushAll  func()
 }
@@ -89,28 +89,37 @@ func (m *GuestMem) InSlot(ipa uint64) bool {
 
 // EnsureMapped populates the second-stage mapping for the page containing
 // ipa (the host/QEMU touching guest memory faults it in just like the
-// guest would) and returns the backing PA. The slot check comes first: an
-// IPA outside every slot — or one beyond the 32-bit table's reach, which
-// would otherwise truncate onto an unrelated low page — never touches the
-// table.
+// guest would) and returns the backing PA. An IPA outside every slot never
+// touches the table.
 func (m *GuestMem) EnsureMapped(ipa uint64) (uint64, error) {
 	if !m.InSlot(ipa) {
 		return 0, fmt.Errorf("hv: IPA %#x not in any memory slot", ipa)
 	}
+	if ipa < 1<<32 {
+		if pa, ok, err := m.Table.Lookup(uint32(ipa) &^ (mmu.PageSize - 1)); err != nil {
+			return 0, err
+		} else if ok {
+			return pa | (ipa & (mmu.PageSize - 1)), nil
+		}
+	}
+	return m.allocMap(ipa)
+}
+
+// allocMap backs the unmapped page containing ipa, which the caller has
+// checked lies in a slot, with a fresh host frame and returns the PA ipa
+// now translates to. It is the one allocate-and-map site, for host-side
+// accesses and guest faults alike, so it carries the range check: a slot
+// may sit above 4 GiB, but the table maps 32-bit IPAs, and a truncated
+// address would remap an unrelated low page to the blank frame.
+func (m *GuestMem) allocMap(ipa uint64) (uint64, error) {
 	if ipa >= 1<<32 {
 		return 0, fmt.Errorf("hv: IPA %#x beyond the 32-bit translation range", ipa)
-	}
-	page := ipa &^ (mmu.PageSize - 1)
-	if pa, ok, err := m.Table.Lookup(uint32(page)); err != nil {
-		return 0, err
-	} else if ok {
-		return pa | (ipa & (mmu.PageSize - 1)), nil
 	}
 	pa, err := m.Alloc.AllocPages(1)
 	if err != nil {
 		return 0, err
 	}
-	if err := m.Table.MapPage(uint32(page), pa, mmu.MapFlags{W: true}); err != nil {
+	if err := m.Table.MapPage(uint32(ipa)&^(mmu.PageSize-1), pa, mmu.MapFlags{W: true}); err != nil {
 		return 0, err
 	}
 	return pa | (ipa & (mmu.PageSize - 1)), nil
@@ -131,11 +140,8 @@ func (m *GuestMem) Write(ipa uint64, data []byte) error {
 			return err
 		}
 		if m.Table.IsCowShared(cur) {
-			if _, err := m.Table.CowFault(cur); err != nil {
+			if _, err := m.breakCow(cur); err != nil {
 				return err
-			}
-			if m.FlushPage != nil {
-				m.FlushPage(cur &^ (mmu.PageSize - 1))
 			}
 			if pa, err = m.EnsureMapped(cur); err != nil {
 				return err
@@ -152,6 +158,20 @@ func (m *GuestMem) Write(ipa uint64, data []byte) error {
 		off += n
 	}
 	return nil
+}
+
+// breakCow ends copy-on-write sharing of the page containing ipa, if it is
+// shared — private copy, or in-place reclaim for the last sharer — and
+// shoots down the page's TLB entries: the leaf went from read-only to
+// writable, possibly on a new frame. It reports whether the fault was a
+// sharing break. The one CowFault site, for host-side writes and guest
+// faults alike.
+func (m *GuestMem) breakCow(ipa uint64) (bool, error) {
+	handled, err := m.Table.CowFault(ipa)
+	if handled && m.FlushPage != nil {
+		m.FlushPage(ipa)
+	}
+	return handled, err
 }
 
 // FreezeCowShared write-protects every mapped RAM-slot page and registers

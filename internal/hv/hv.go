@@ -6,17 +6,21 @@
 // VMs, VMs that own guest-physical memory, MMIO regions and virtual
 // devices, and vCPUs that run on host threads. This package names those
 // objects once, so the benchmark harness, the workloads, the facade and
-// the CLIs drive every backend through one code path, and a third backend
-// (a §6 "ideal hardware" model, a RISC-V-H-style model) only has to
-// implement three interfaces.
+// the CLIs drive every backend through one code path, and a further
+// backend (a §6 "ideal hardware" model, a RISC-V-H-style model) only has
+// to supply its world switch, exit decode and interrupt controller.
 //
-// Alongside the interfaces live the concrete helpers both backends
-// previously duplicated verbatim: the memory-slot bookkeeping and chunked
-// guest-memory copies (GuestMem), MMIO region lookup (Regions), the
-// QEMU-side device shims (VirtMMIO, UARTMMIO, StandardDevices), the
+// Alongside the interfaces lives the backend kit — Base, VMCore and
+// VCPUCore (base.go, vmcore.go, vcpucore.go) — which every backend embeds
+// and which holds each shared mechanism once: VMID allocation and
+// tracer/fault-plane wiring; the memory-slot bookkeeping and chunked
+// guest-memory copies (GuestMem), second-stage fault resolution and the
+// dirty log with their TLB shootdowns; MMIO region lookup and dispatch
+// (Regions); the QEMU-side device shims (VirtMMIO, UARTMMIO) and device
+// save/restore; the vCPU run-state machine and host thread; the
 // guest-physical access adapter (GuestPhysIO), the ONE_REG register
 // namespace (RegID, GetReg, SetReg), and the guest boot scaffolding
-// (GuestBoot). The helpers depend only on the architecture-generic
+// (GuestBoot). The kit depends only on the architecture-generic
 // substrate (arm, dev, kernel, machine, mmu, trace) — never on a backend.
 package hv
 
@@ -120,9 +124,9 @@ type VM interface {
 	RestoreDeviceState(st *DeviceState) error
 
 	// GuestMemory exposes the VM's slot bookkeeping and second-stage
-	// table (the shared GuestMem every backend embeds). Snapshot capture
-	// and copy-on-write fork (internal/hv/snapshot.go) drive the
-	// freeze/adopt machinery through it; the backend wires the TLB-flush
+	// table (the GuestMem inside every backend's VMCore). Snapshot
+	// capture and copy-on-write fork (internal/hv/snapshot.go) drive the
+	// freeze/adopt machinery through it; the kit wires the TLB-flush
 	// callbacks so permission changes are globally visible.
 	GuestMemory() *GuestMem
 }

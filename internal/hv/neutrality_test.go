@@ -1,6 +1,7 @@
-// Backend neutrality lint: the generic consumers — internal/bench and
-// internal/workloads — must drive hypervisors solely through internal/hv.
-// A direct import of a concrete backend is a layering regression.
+// Backend neutrality lint: the generic layers above the backend kit —
+// internal/bench, internal/workloads, internal/fleet and internal/net —
+// must drive hypervisors solely through internal/hv. A direct import of a
+// concrete backend is a layering regression.
 package hv_test
 
 import (
@@ -20,7 +21,7 @@ var forbidden = []string{
 }
 
 func TestConsumersAreBackendNeutral(t *testing.T) {
-	for _, dir := range []string{"../bench", "../workloads"} {
+	for _, dir := range []string{"../bench", "../workloads", "../fleet", "../net"} {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -5,21 +5,22 @@ import (
 
 	"kvmarm/internal/gic"
 	"kvmarm/internal/machine"
+	"kvmarm/internal/mmu"
 	"kvmarm/internal/trace"
 )
 
 // VDistVCPU is the small view of a vCPU the virtual distributor needs:
 // enough to decide whether a pending virtual interrupt can be staged into
 // list registers right now (PhysCPU), must wake a sleeping thread
-// (BlockedWFI/Wake), or has to kick a remote core. Both the split-mode
-// core backend and the VHE backend satisfy it.
+// (Blocked/Wake), or has to kick a remote core. The kit's VCPUCore, which
+// every backend vCPU embeds, satisfies it.
 type VDistVCPU interface {
 	VCPUID() int
 	// PhysCPU is the physical CPU currently executing this vCPU, -1 when
 	// it is not loaded anywhere.
 	PhysCPU() int
-	// BlockedWFI reports whether the vCPU thread is parked in WFI.
-	BlockedWFI() bool
+	// Blocked reports whether the vCPU thread is parked in WFI.
+	Blocked() bool
 	Wake(fromHostCPU int)
 }
 
@@ -41,7 +42,11 @@ type VDist struct {
 	// closure so AttachTracer after CreateVM still takes effect.
 	Tracer func() *trace.Tracer
 
-	vcpus   []VDistVCPU
+	vcpus []VDistVCPU
+	// saved is each vCPU's parked VGIC CPU-interface context (the list
+	// registers the world switch saved), for the state that sits there
+	// while the vCPU is out: see PendingIRQ, SaveIC, RestoreIC.
+	saved   []*gic.VGICCpu
 	enabled bool
 
 	// priv is the banked SGI/PPI state per vCPU.
@@ -89,9 +94,31 @@ func NewVDist(b *machine.Board, vmid uint8, stats *VMStats, tracer func() *trace
 		enabled: true, spi: make([]virqState, vdistSPIs)}
 }
 
-// AddVCPU registers the next vCPU (must be called in vCPU-ID order).
-func (d *VDist) AddVCPU(v VDistVCPU) {
+// MapVGIC maps the hardware-assisted interrupt interfaces the board has
+// into a guest's Stage-2 table.
+func MapVGIC(b *machine.Board, s2 *mmu.Builder) error {
+	if b.Cfg.HasVGIC {
+		// Map the VGIC virtual CPU interface at the IPA where guests
+		// expect the GIC CPU interface (§3.5): ACK/EOI run without
+		// traps, on the same driver the host uses.
+		if err := s2.MapPage(uint32(machine.GICCPUBase), machine.GICVBase, mmu.MapFlags{W: true}); err != nil {
+			return err
+		}
+	}
+	if b.Cfg.HasDirectVIPI {
+		// §6 extension: the direct virtual-SGI register is guest-visible.
+		if err := s2.MapPage(uint32(machine.GICVSGIBase), machine.GICVSGIBase, mmu.MapFlags{W: true}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AddVCPU registers the next vCPU (must be called in vCPU-ID order) and
+// the VGIC context its world switch saves into.
+func (d *VDist) AddVCPU(v VDistVCPU, saved *gic.VGICCpu) {
 	d.vcpus = append(d.vcpus, v)
+	d.saved = append(d.saved, saved)
 	d.priv = append(d.priv, [gic.SPIBase]virqState{})
 	d.sgiSrc = append(d.sgiSrc, [gic.NumSGIs]int{})
 }
@@ -191,7 +218,7 @@ func (d *VDist) SendSGIFrom(src VDistVCPU, mask uint8, id int) {
 		if mask&(1<<i) == 0 {
 			continue
 		}
-		if v.BlockedWFI() && d.HasPendingFor(v) {
+		if v.Blocked() && d.HasPendingFor(v) {
 			v.Wake(d.Board.Current)
 			continue
 		}
@@ -253,6 +280,37 @@ func (d *VDist) InjectPPI(v VDistVCPU, id int) {
 
 // --- Delivery ---
 
+// PendingIRQ reports whether any virtual interrupt awaits vCPU id: in the
+// distributor's software state, or already staged in the list registers
+// of its saved VGIC context. An interrupt is in the second category when
+// it was flushed to the hardware just before the guest executed WFI — the
+// exit then parks it inside the saved context, and the WFI block check
+// must still see it or the vCPU sleeps through its wakeup.
+func (d *VDist) PendingIRQ(vcpu int) bool {
+	if d.HasPendingFor(d.vcpus[vcpu]) {
+		return true
+	}
+	for i := range d.saved[vcpu].LR {
+		if st := d.saved[vcpu].LR[i].State; st == gic.LRPending || st == gic.LRPendingActive {
+			return true
+		}
+	}
+	return false
+}
+
+// InjectTimer delivers vCPU id's virtual timer interrupt, waking it if
+// blocked.
+func (d *VDist) InjectTimer(fromHostCPU, vcpu int) {
+	v := d.vcpus[vcpu]
+	d.Stats.VTimerInjected++
+	if t := d.Tracer(); t != nil {
+		t.Emit(trace.Event{Kind: trace.EvVTimerInject, VM: d.VMID, VCPU: int16(vcpu),
+			CPU: int16(fromHostCPU), Arg: gic.IRQVirtTimer})
+	}
+	d.InjectPPI(v, gic.IRQVirtTimer)
+	v.Wake(fromHostCPU)
+}
+
 // HasPendingFor reports whether any enabled virtual interrupt is pending
 // for v (wake condition for WFI-blocked vCPUs; software VIRQ line level on
 // hardware without a VGIC).
@@ -294,7 +352,7 @@ func (d *VDist) DeliverAll() {
 // on each side (Table 3) and why §6 asks hardware to "completely avoid
 // IPI traps".
 func (d *VDist) DeliverTo(v VDistVCPU) {
-	if v.BlockedWFI() && d.HasPendingFor(v) {
+	if v.Blocked() && d.HasPendingFor(v) {
 		v.Wake(d.Board.Current)
 		return
 	}

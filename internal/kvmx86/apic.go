@@ -33,7 +33,12 @@ type virqState struct {
 	target  uint8
 }
 
-const apicSPIs = 96
+const (
+	apicSPIs = 96
+	// apicTimerIRQ is the per-vCPU timer vector (the board's virtual-timer
+	// PPI, which backs the emulated APIC timer).
+	apicTimerIRQ = 27
+)
 
 func newAPIC(vm *VM) *APIC { return &APIC{vm: vm, spi: make([]virqState, apicSPIs)} }
 
@@ -147,12 +152,26 @@ func (a *APIC) InjectSPI(id int, level bool) {
 	a.deliverAll()
 }
 
-// InjectPPI raises a per-vCPU interrupt (timer).
-func (a *APIC) InjectPPI(v *VCPU, id int) {
-	a.priv[v.ID][id].pending = true
+// InjectTimer raises vCPU id's APIC-timer interrupt, waking it if halted.
+func (a *APIC) InjectTimer(fromHostCPU, vcpu int) {
+	v := a.vm.vcpus[vcpu]
+	a.vm.Stats.VTimerInjected++
+	if t := a.vm.kvm.Trace; t != nil {
+		t.Emit(trace.Event{Kind: trace.EvVTimerInject, VM: a.vm.VMID, VCPU: int16(vcpu),
+			CPU: int16(fromHostCPU), Arg: apicTimerIRQ})
+	}
+	a.priv[vcpu][apicTimerIRQ].pending = true
 	a.Injections++
 	a.deliverTo(v)
+	v.Wake(fromHostCPU)
 }
+
+// PendingIRQ is the HLT block check.
+func (a *APIC) PendingIRQ(vcpu int) bool { return a.hasPendingFor(a.vm.vcpus[vcpu]) }
+
+// Family: APIC state only restores into another x86 instance (the device
+// inventory differs from ARM's: APIC instead of a virtual distributor).
+func (a *APIC) Family() string { return "x86" }
 
 func (a *APIC) targets(s *virqState, v *VCPU) bool {
 	return s.target == 0 && v.ID == 0 || s.target&(1<<v.ID) != 0
@@ -184,17 +203,18 @@ func (a *APIC) deliverAll() {
 // assert its (software) interrupt line; if halted, wake its thread.
 func (a *APIC) deliverTo(v *VCPU) {
 	x := a.vm.kvm
-	if v.state == vcpuBlockedHLT && a.hasPendingFor(v) {
+	if v.Blocked() && a.hasPendingFor(v) {
 		v.Wake(x.Board.Current)
 		return
 	}
-	if v.phys < 0 {
+	phys := v.PhysCPU()
+	if phys < 0 {
 		return
 	}
-	x.Board.CPUs[v.phys].VIRQLine = a.hasPendingFor(v)
-	if v.phys != x.Board.Current && a.hasPendingFor(v) {
+	x.Board.CPUs[phys].VIRQLine = a.hasPendingFor(v)
+	if phys != x.Board.Current && a.hasPendingFor(v) {
 		// Kick the remote core out of non-root mode (vcpu_kick).
-		_ = x.Board.GIC.SendSGI(x.Board.Current, 1<<uint(v.phys), 2)
+		_ = x.Board.GIC.SendSGI(x.Board.Current, 1<<uint(phys), 2)
 	}
 }
 
@@ -245,12 +265,12 @@ func (a *APIC) EOI(v *VCPU, id int) {
 	a.deliverTo(v)
 }
 
-// SaveState exports the APIC model for migration in the backend-neutral
+// SaveIC exports the APIC model for migration in the backend-neutral
 // ICState shape shared with the ARM virtual distributor. x86 has no list
 // registers, so there is nothing to drain: pending/active state is all in
 // software already. ActiveOn is meaningless here (EOI is a trapped MMIO
 // write on any vCPU) and is exported as -1.
-func (a *APIC) SaveState() *hv.ICState {
+func (a *APIC) SaveIC() *hv.ICState {
 	st := &hv.ICState{Enabled: true}
 	export := func(s *virqState) hv.VIRQ {
 		return hv.VIRQ{Enabled: s.enabled, Pending: s.pending, Active: s.active,
@@ -270,9 +290,9 @@ func (a *APIC) SaveState() *hv.ICState {
 	return st
 }
 
-// RestoreState installs a saved APIC (or compatible) model. vCPUs must
+// RestoreIC installs a saved APIC (or compatible) model. vCPUs must
 // already exist so the per-vCPU banks line up.
-func (a *APIC) RestoreState(st *hv.ICState) error {
+func (a *APIC) RestoreIC(st *hv.ICState) error {
 	if len(st.Priv) != len(a.priv) || len(st.SGISrc) != len(a.priv) {
 		return fmt.Errorf("kvmx86: snapshot has %d vCPU interrupt banks, VM has %d", len(st.Priv), len(a.priv))
 	}

@@ -1,12 +1,9 @@
 package kvmx86
 
 import (
-	"fmt"
-
 	"kvmarm/internal/arm"
 	"kvmarm/internal/hv"
 	"kvmarm/internal/kernel"
-	"kvmarm/internal/machine"
 	"kvmarm/internal/trace"
 )
 
@@ -27,77 +24,35 @@ func (vm *VM) NewGuestOS(memBytes uint64) (hv.GuestOS, error) {
 
 // NewGuestOS builds the guest kernel for vm.
 func NewGuestOS(vm *VM, memBytes uint64) (*GuestOS, error) {
-	if len(vm.vcpus) == 0 {
-		return nil, fmt.Errorf("kvmx86: create vCPUs before the guest OS")
+	cfg, err := vm.GuestKernelConfig(memBytes)
+	if err != nil {
+		return nil, err
 	}
 	x := vm.kvm
-	g := &GuestOS{VM: vm}
-
-	phys := &hv.GuestPhysIO{
-		Label: fmt.Sprintf("VM %d", vm.VMID),
-		Cur: func() *arm.CPU {
-			c := x.Board.CPUs[x.Board.Current]
-			if lv := x.loaded[c.ID]; lv != nil && lv.vm == vm {
-				return c
-			}
-			return nil
-		},
-		Last: func() *arm.CPU { return vm.lastGuestCPU },
+	// x86 interrupt architecture: vector via IDT (free), EOI exits to
+	// root mode for APIC emulation.
+	cfg.HW.AckHook = func(cpu int, c *arm.CPU) (int, int) {
+		c.Charge(30)
+		return vm.APIC.Ack(vm.vcpus[cpu])
 	}
-
-	k := kernel.New(kernel.Config{
-		Name:    fmt.Sprintf("x86guest-vm%d", vm.VMID),
-		NumCPUs: len(vm.vcpus),
-		CPU: func(i int) *arm.CPU {
-			v := vm.vcpus[i]
-			if v.phys >= 0 {
-				return x.Board.CPUs[v.phys]
-			}
-			if vm.lastGuestCPU != nil {
-				return vm.lastGuestCPU
-			}
-			return x.Board.CPUs[0]
-		},
-		HW: kernel.HWConfig{
-			GICDistBase: machine.GICDistBase,
-			GICCPUBase:  machine.GICCPUBase,
-			UARTBase:    machine.UARTBase,
-			NetBase:     machine.VirtNetBase,
-			BlkBase:     machine.VirtBlkBase,
-			ConBase:     machine.VirtConBase,
-			IRQNet:      machine.IRQNet,
-			IRQBlk:      machine.IRQBlk,
-			IRQCon:      machine.IRQCon,
-			// x86 interrupt architecture: vector via IDT (free),
-			// EOI exits to root mode for APIC emulation.
-			AckHook: func(cpu int, c *arm.CPU) (int, int) {
-				c.Charge(30)
-				v := vm.vcpus[cpu]
-				return vm.APIC.Ack(v)
-			},
-			EOIHook: func(cpu int, c *arm.CPU, id int) {
-				v := vm.vcpus[cpu]
-				vm.Stats.EOIExits++
-				x.Stats.EOIExits++
-				// Full exit: VMCS save, decode, APIC emulation with
-				// locking, VMRESUME.
-				cost := x.P.VMExit + x.P.APICDecode + x.P.APICEmulate + x.P.VMEntry
-				c.Charge(cost)
-				vm.APIC.EOI(v, id)
-				if v.phys >= 0 {
-					x.Board.CPUs[v.phys].VIRQLine = vm.APIC.hasPendingFor(v)
-				}
-				if t := x.Trace; t != nil {
-					t.Emit(trace.Event{Kind: trace.ExitEOI, VM: vm.VMID, VCPU: int16(v.ID),
-						CPU: int16(c.ID), Arg: uint64(id), Cycles: cost, Time: c.Clock})
-				}
-			},
-		},
-		Mem:       phys,
-		AllocBase: machine.RAMBase + (8 << 20),
-		AllocSize: memBytes - (16 << 20),
-	})
-
-	g.Attach(k, x.Board, vm.VCPUs())
+	cfg.HW.EOIHook = func(cpu int, c *arm.CPU, id int) {
+		v := vm.vcpus[cpu]
+		vm.Stats.EOIExits++
+		x.Stats.EOIExits++
+		// Full exit: VMCS save, decode, APIC emulation with locking,
+		// VMRESUME.
+		cost := x.P.VMExit + x.P.APICDecode + x.P.APICEmulate + x.P.VMEntry
+		c.Charge(cost)
+		vm.APIC.EOI(v, id)
+		if phys := v.PhysCPU(); phys >= 0 {
+			x.Board.CPUs[phys].VIRQLine = vm.APIC.hasPendingFor(v)
+		}
+		if t := x.Trace; t != nil {
+			t.Emit(trace.Event{Kind: trace.ExitEOI, VM: vm.VMID, VCPU: int16(v.ID),
+				CPU: int16(c.ID), Arg: uint64(id), Cycles: cost, Time: c.Clock})
+		}
+	}
+	g := &GuestOS{VM: vm}
+	g.Attach(kernel.New(cfg), x.Board, vm.VCPUs())
 	return g, nil
 }

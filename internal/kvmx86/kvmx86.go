@@ -17,31 +17,11 @@
 package kvmx86
 
 import (
-	"fmt"
-
 	"kvmarm/internal/arm"
-	"kvmarm/internal/dev"
-	"kvmarm/internal/fault"
 	"kvmarm/internal/hv"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
-	"kvmarm/internal/mmu"
-	"kvmarm/internal/timer"
-	"kvmarm/internal/trace"
 	"kvmarm/internal/x86"
-)
-
-// Backend-neutral aliases, shared with the ARM backend via internal/hv.
-type (
-	// MMIOHandler emulates a device region for a VM.
-	MMIOHandler = hv.MMIOHandler
-	// VMStats counts per-VM hypervisor activity (Stage2Faults counts EPT
-	// violations here).
-	VMStats = hv.VMStats
-	// VCPUStats counts per-vCPU exits.
-	VCPUStats = hv.VCPUStats
-	// RegID names one guest register in the ONE_REG namespace.
-	RegID = hv.RegID
 )
 
 // NewBoard builds a board configured like the paper's x86 platforms: no
@@ -72,31 +52,16 @@ type Stats struct {
 	TimerExits uint64
 }
 
-// Hypervisor is KVM x86.
+// Hypervisor is KVM x86. Board/host wiring, the tracer and fault plane,
+// the VM list and VMID (VPID) allocation are the embedded kit base.
 type Hypervisor struct {
-	Board *machine.Board
-	Host  *kernel.Kernel
-	P     x86.Profile
+	hv.Base
+	P x86.Profile
 
-	vms      []*VM
-	nextVMID uint8
-	loaded   []*VCPU
-	hostCtx  []hostSaved
+	loaded  []*VCPU
+	hostCtx []hostSaved
 
 	Stats Stats
-
-	// Trace is the unified exit/trap event sink; nil when tracing is
-	// off. Attach with AttachTracer.
-	Trace *trace.Tracer
-
-	// Fault is the fault-injection plane (internal/fault); nil when
-	// injection is off. Attach with AttachFaultPlane.
-	Fault *fault.Plane
-
-	// vcpuProcs maps host processes to the vCPUs they run, so the host
-	// scheduler's switch/preempt hooks can attribute steal time to the
-	// right VM/vCPU in the trace stream (overcommit observability).
-	vcpuProcs map[*kernel.Proc]*VCPU
 }
 
 type hostSaved struct {
@@ -111,33 +76,11 @@ type hostSaved struct {
 // special boot mode is required: the kernel already runs in root mode.
 func Init(b *machine.Board, host *kernel.Kernel, p x86.Profile) (*Hypervisor, error) {
 	x := &Hypervisor{
-		Board:     b,
-		Host:      host,
-		P:         p,
-		loaded:    make([]*VCPU, len(b.CPUs)),
-		hostCtx:   make([]hostSaved, len(b.CPUs)),
-		vcpuProcs: make(map[*kernel.Proc]*VCPU),
+		P:       p,
+		loaded:  make([]*VCPU, len(b.CPUs)),
+		hostCtx: make([]hostSaved, len(b.CPUs)),
 	}
-	// Host-scheduler observability: when the host multiplexes more vCPU
-	// threads than physical CPUs, surface per-vCPU steal time and
-	// preemptions through the trace stream (kvmarm-stat's scheduling
-	// section). Non-vCPU host processes are accounted on their Proc only.
-	host.OnSchedSwitch = func(cpu int, p *kernel.Proc, wait uint64) {
-		v := x.vcpuProcs[p]
-		if v == nil || wait == 0 || x.Trace == nil {
-			return
-		}
-		x.Trace.Emit(trace.Event{Kind: trace.EvSchedSteal, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(cpu), Cycles: wait << timer.CycleShift, Time: b.CPUs[cpu].Clock})
-	}
-	host.OnSchedPreempt = func(cpu int, p *kernel.Proc) {
-		v := x.vcpuProcs[p]
-		if v == nil || x.Trace == nil {
-			return
-		}
-		x.Trace.Emit(trace.Event{Kind: trace.EvSchedPreempt, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(cpu), Time: b.CPUs[cpu].Clock})
-	}
+	x.Base.Init(b, host)
 	for _, c := range b.CPUs {
 		c.HypHandler = x.vmExit
 	}
@@ -151,58 +94,6 @@ func Init(b *machine.Board, host *kernel.Kernel, p x86.Profile) (*Hypervisor, er
 	return x, nil
 }
 
-// AttachTracer wires t into every layer: VM entry/exit, exit
-// classification, interrupt-controller and timer traffic, and each
-// physical CPU's TLB. Existing VMs and vCPUs are registered for
-// per-VM/per-vCPU counters; attach before creating VMs to capture
-// boot-time exits too. Passing nil detaches.
-func (x *Hypervisor) AttachTracer(t *trace.Tracer) {
-	x.Trace = t
-	x.Board.GIC.Trace = t
-	if x.Board.Timers != nil {
-		x.Board.Timers.Trace = t
-	}
-	for _, c := range x.Board.CPUs {
-		c.MMU.Trace = t
-	}
-	for _, vm := range x.vms {
-		t.RegisterVM(vm.VMID)
-		for _, v := range vm.vcpus {
-			t.RegisterVCPU(vm.VMID, v.ID)
-		}
-	}
-}
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (x *Hypervisor) Tracer() *trace.Tracer { return x.Trace }
-
-// AttachFaultPlane wires the fault-injection plane into every consult
-// point of this backend: each VM's EPT dirty-log operations, vCPU park
-// requests, and device save/restore. Passing nil detaches.
-func (x *Hypervisor) AttachFaultPlane(p *fault.Plane) {
-	x.Fault = p
-	for _, vm := range x.vms {
-		vm.EPT.Fault = p
-		for _, d := range []*dev.Virt{vm.Net, vm.Blk, vm.Con} {
-			if d != nil {
-				d.Fault = p
-			}
-		}
-	}
-}
-
-// FaultPlane returns the attached plane (nil when injection is off).
-func (x *Hypervisor) FaultPlane() *fault.Plane { return x.Fault }
-
-// VMs lists the created VMs.
-func (x *Hypervisor) VMs() []hv.VM {
-	out := make([]hv.VM, len(x.vms))
-	for i, vm := range x.vms {
-		out[i] = vm
-	}
-	return out
-}
-
 // Counters exposes the hypervisor-level statistics under stable names.
 func (x *Hypervisor) Counters() map[string]uint64 {
 	return map[string]uint64{
@@ -214,327 +105,69 @@ func (x *Hypervisor) Counters() map[string]uint64 {
 	}
 }
 
-// VM is one x86 virtual machine.
+// VM is one x86 virtual machine: the kit's VM core — whose second-stage
+// table is the EPT here, the same two-dimensional walk model as ARM
+// Stage-2 — plus the APIC.
 type VM struct {
-	kvm  *Hypervisor
-	VMID uint8
-	// EPT is the extended page table (same two-dimensional walk model
-	// as ARM Stage-2; the same table GuestMem populates on host-side
-	// accesses).
-	EPT  *mmu.Builder
-	Mem  hv.GuestMem
-	APIC *APIC
-
+	hv.VMCore
+	kvm   *Hypervisor
+	APIC  *APIC
 	vcpus []*VCPU
-	mmio  hv.Regions
-
-	Net *dev.Virt
-	Blk *dev.Virt
-	Con *dev.Virt
-
-	Console      []byte
-	lastGuestCPU *arm.CPU
-
-	Stats VMStats
 }
 
 // CreateVM builds a VM with memBytes of guest RAM.
 func (x *Hypervisor) CreateVM(memBytes uint64) (hv.VM, error) {
-	x.nextVMID++
-	ept, err := mmu.NewBuilder(mmu.TableStage2, x.Board.RAM, x.Host.Alloc)
-	if err != nil {
-		return nil, err
-	}
-	vm := &VM{kvm: x, VMID: x.nextVMID, EPT: ept}
-	ept.Fault = x.Fault
-	vm.Mem = hv.GuestMem{Table: ept, Alloc: x.Host.Alloc, RAM: x.Board.RAM}
-	vm.Mem.FlushPage = vm.flushS2Page
-	vm.Mem.FlushAll = vm.flushTLBs
-	if err := vm.Mem.AddSlot(machine.RAMBase, memBytes); err != nil {
+	vm := &VM{kvm: x}
+	vm.IdleState = "hlt"
+	if err := x.InitVM(&vm.VMCore, memBytes); err != nil {
 		return nil, err
 	}
 	vm.APIC = newAPIC(vm)
-	x.Trace.RegisterVM(vm.VMID)
-
-	if err := x.Fault.Fail(fault.PtDevBringup); err != nil {
-		return nil, fmt.Errorf("kvmx86: device bring-up for vm %d: %w", vm.VMID, err)
+	if err := vm.BringUp(vm, vm.APIC); err != nil {
+		return nil, err
 	}
-	vm.Net, vm.Blk, vm.Con = hv.StandardDevices(x.Board, vm, func(irq int, level bool) {
-		vm.APIC.InjectSPI(irq, level)
-	}, &vm.Console)
-	vm.Net.Fault, vm.Blk.Fault, vm.Con.Fault = x.Fault, x.Fault, x.Fault
-
-	x.vms = append(x.vms, vm)
 	return vm, nil
 }
 
-// ID is the VMID (the VPID tagging the VM's TLB entries).
-func (vm *VM) ID() uint8 { return vm.VMID }
-
-// GuestMemory exposes the slot bookkeeping and EPT for snapshot capture
-// and copy-on-write fork.
-func (vm *VM) GuestMemory() *hv.GuestMem { return &vm.Mem }
-
-// Device returns the VM's emulated virtio-style device of class, or nil.
-func (vm *VM) Device(class dev.VirtClass) *dev.Virt {
-	switch class {
-	case dev.VirtNet:
-		return vm.Net
-	case dev.VirtBlock:
-		return vm.Blk
-	case dev.VirtConsole:
-		return vm.Con
-	}
-	return nil
-}
-
-// ConsoleBytes returns the virtual UART output collected so far.
-func (vm *VM) ConsoleBytes() []byte { return vm.Console }
-
-// StatsSnapshot copies out the per-VM activity counters.
-func (vm *VM) StatsSnapshot() hv.VMStats { return vm.Stats }
-
-// AddKernelMMIO registers an in-kernel emulated device region.
-func (vm *VM) AddKernelMMIO(base, size uint64, h MMIOHandler) {
-	vm.mmio.Add(base, size, h, false)
-}
-
-// AddUserMMIO registers a QEMU-emulated device region.
-func (vm *VM) AddUserMMIO(base, size uint64, h MMIOHandler) {
-	vm.mmio.Add(base, size, h, true)
-}
-
-// EnsureMapped backs the EPT page containing gpa.
-func (vm *VM) EnsureMapped(gpa uint64) (uint64, error) {
-	return vm.Mem.EnsureMapped(gpa)
-}
-
-// WriteGuestMem loads data into guest-physical memory.
-func (vm *VM) WriteGuestMem(gpa uint64, data []byte) error {
-	return vm.Mem.Write(gpa, data)
-}
-
-// ReadGuestMem copies guest-physical memory out (QEMU inspecting a guest).
-func (vm *VM) ReadGuestMem(gpa uint64, n int) ([]byte, error) {
-	return vm.Mem.Read(gpa, n)
-}
-
-// SetUserMemoryRegion adds a guest RAM slot.
-func (vm *VM) SetUserMemoryRegion(gpaBase, size uint64) error {
-	return vm.Mem.AddSlot(gpaBase, size)
-}
-
-type vcpuState int
-
-const (
-	vcpuNeedEnter vcpuState = iota
-	vcpuRunning
-	vcpuBlockedHLT
-	vcpuPaused
-	vcpuShutdown
-)
-
-// GuestContext is the VMCS-held guest state: moved by hardware, so the
-// world switch charges a fixed cost rather than per-register moves.
-type GuestContext struct {
-	GP          arm.GPSnapshot
-	CP15        [arm.NumCtxControlRegs]uint32
-	VTimer      timer.VirtState
-	PL1Software arm.ExcHandler
-	Runner      arm.Runner
-}
-
-// VCPU is one x86 virtual CPU.
+// VCPU is one x86 virtual CPU: the kit's vCPU core plus the VMCS context.
 type VCPU struct {
-	vm  *VM
-	ID  int
-	Ctx GuestContext
-
-	phys  int
-	state vcpuState
-	wq    *kernel.WaitQueue
-	proc  *kernel.Proc
-
-	// insnMark is the physical CPU's retired-instruction count at the
-	// last VM entry; the exit accumulates the delta into
-	// Stats.GuestInsns (per-vCPU architectural progress).
-	insnMark uint64
+	hv.VCPUCore
+	vm *VM
+	// Ctx is the VMCS-held guest state: moved by hardware, so the world
+	// switch charges a fixed cost rather than per-register moves.
+	Ctx hv.GuestRegs
 
 	softTimerID  uint64
 	softTimerCPU int
-
-	// pauseReq asks the run loop to park the vCPU at its next exit
-	// (user-space pause for register access / migration).
-	pauseReq bool
-
-	Stats VCPUStats
 }
 
 // CreateVCPU adds a vCPU.
 func (vm *VM) CreateVCPU(id int) (hv.VCPU, error) {
-	if id != len(vm.vcpus) {
-		return nil, fmt.Errorf("kvmx86: vCPUs must be created in order")
+	v := &VCPU{vm: vm}
+	if err := vm.InitVCPU(&v.VCPUCore, v, &v.Ctx, id); err != nil {
+		return nil, err
 	}
-	v := &VCPU{vm: vm, ID: id, phys: -1,
-		wq: kernel.NewWaitQueue(fmt.Sprintf("x86vcpu%d.%d", vm.VMID, id))}
 	v.Ctx.GP.CPSR = uint32(arm.ModeSVC) | arm.PSRI | arm.PSRF
 	vm.vcpus = append(vm.vcpus, v)
 	vm.APIC.addVCPU()
-	vm.kvm.Trace.RegisterVCPU(vm.VMID, id)
 	return v, nil
 }
 
-// VCPUs returns the VM's vCPUs.
-func (vm *VM) VCPUs() []hv.VCPU {
-	out := make([]hv.VCPU, len(vm.vcpus))
-	for i, v := range vm.vcpus {
-		out[i] = v
-	}
-	return out
-}
-
-// VCPUID is the vCPU index within its VM.
-func (v *VCPU) VCPUID() int { return v.ID }
-
-// ExitStats copies out the per-vCPU entry/exit counters, merging in the
-// host scheduler's accounting for the vCPU's thread (steal time and
-// preemptions — the overcommit fairness measures).
-func (v *VCPU) ExitStats() hv.VCPUStats {
-	st := v.Stats
-	if p := v.proc; p != nil {
-		st.StealTicks = p.RunDelayTicks
-		st.Preemptions = p.Preemptions
-		st.SchedSlices = p.SchedSlices
-	}
-	return st
-}
-
-// State reports the run state.
-func (v *VCPU) State() string {
-	switch v.state {
-	case vcpuNeedEnter:
-		return "ready"
-	case vcpuRunning:
-		return "running"
-	case vcpuBlockedHLT:
-		return "hlt"
-	case vcpuPaused:
-		return "paused"
-	case vcpuShutdown:
-		return "shutdown"
-	}
-	return "?"
-}
-
-// SetGuestSoftware installs the guest's software context.
-func (v *VCPU) SetGuestSoftware(h arm.ExcHandler, r arm.Runner) {
-	v.Ctx.PL1Software = h
-	v.Ctx.Runner = r
-}
-
-// StartThread creates the host vCPU thread. A pin beyond the board's CPU
-// count wraps modulo — overcommit placement may hand out more vCPU
-// threads than physical CPUs and the host scheduler time-slices them.
-func (v *VCPU) StartThread(hostCPU int) (*kernel.Proc, error) {
+// EnterGuest is the backend half of ioctl(KVM_RUN): the ring transition
+// into the kernel, then VMRESUME.
+func (v *VCPU) EnterGuest(c *arm.CPU) {
 	x := v.vm.kvm
-	if n := len(x.Board.CPUs); hostCPU >= n {
-		hostCPU %= n
-	}
-	body := kernel.BodyFunc(func(hk *kernel.Kernel, p *kernel.Proc, c *arm.CPU) bool {
-		return v.runStep(hostCPU, c)
-	})
-	from := hostCPU
-	if from < 0 {
-		from = 0
-	}
-	proc, err := x.Host.NewProcFrom(from, fmt.Sprintf("qemu-x86vcpu%d.%d", v.vm.VMID, v.ID), hostCPU, body)
-	if err != nil {
-		return nil, err
-	}
-	v.proc = proc
-	x.vcpuProcs[proc] = v
-	return proc, nil
-}
-
-func (v *VCPU) runStep(hostCPU int, c *arm.CPU) bool {
-	x := v.vm.kvm
-	switch v.state {
-	case vcpuShutdown:
-		return true
-	case vcpuPaused:
-		hostIdx := hostCPU
-		if hostIdx < 0 {
-			hostIdx = c.ID
-		}
-		x.Host.Block(hostIdx, v.wq)
-		return false
-	case vcpuBlockedHLT:
-		if v.vm.APIC.hasPendingFor(v) {
-			v.state = vcpuNeedEnter
-		} else {
-			hostIdx := hostCPU
-			if hostIdx < 0 {
-				hostIdx = c.ID
-			}
-			x.Host.Block(hostIdx, v.wq)
-			return false
-		}
-	case vcpuRunning:
-		return false
-	}
 	prev := c.CPSR
 	c.Charge(x.P.TrapToKernel + x.Host.Cost.SyscallWork/2)
 	c.SetCPSR(uint32(arm.ModeSVC) | (prev &^ arm.PSRModeMask))
 	v.Stats.Entries++
 	x.enterGuest(c, v)
-	return false
 }
-
-// Pause asks the vCPU to stop at its next exit, kicking it out of the
-// guest if it is currently running (the user-space pause used for
-// debugging and migration, §4).
-func (v *VCPU) Pause() {
-	if v.vm.kvm.Fault.Stuck(fault.PtVCPUPark) {
-		// Injected stuck-vCPU fault: the park request is lost and the
-		// vCPU keeps running. The migration park-watchdog must notice.
-		return
-	}
-	v.pauseReq = true
-	if v.phys >= 0 && v.phys != v.vm.kvm.Board.Current {
-		_ = v.vm.kvm.Board.GIC.SendSGI(v.vm.kvm.Board.Current, 1<<uint(v.phys), 2)
-	}
-	if v.state == vcpuNeedEnter || v.state == vcpuBlockedHLT {
-		v.state = vcpuPaused
-	}
-}
-
-// Paused reports whether the vCPU is parked.
-func (v *VCPU) Paused() bool { return v.state == vcpuPaused }
-
-// Resume lets a paused vCPU run again.
-func (v *VCPU) Resume() {
-	v.pauseReq = false
-	if v.state == vcpuPaused {
-		v.state = vcpuNeedEnter
-		v.vm.kvm.Host.Wake(v.vm.kvm.Board.Current, v.wq)
-	}
-}
-
-// Wake unblocks an HLT-blocked vCPU.
-func (v *VCPU) Wake(fromHostCPU int) {
-	if v.state == vcpuBlockedHLT {
-		v.state = vcpuNeedEnter
-		v.vm.kvm.Host.Wake(fromHostCPU, v.wq)
-	}
-}
-
-// Shutdown stops the vCPU.
-func (v *VCPU) Shutdown() { v.state = vcpuShutdown }
 
 // Interface conformance (compile-time).
 var (
-	_ hv.Hypervisor = (*Hypervisor)(nil)
-	_ hv.VM         = (*VM)(nil)
-	_ hv.VCPU       = (*VCPU)(nil)
-	_ hv.GuestOS    = (*GuestOS)(nil)
+	_ hv.Hypervisor  = (*Hypervisor)(nil)
+	_ hv.VM          = (*VM)(nil)
+	_ hv.BackendVCPU = (*VCPU)(nil)
+	_ hv.GuestOS     = (*GuestOS)(nil)
 )

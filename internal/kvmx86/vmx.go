@@ -6,7 +6,6 @@ import (
 	"kvmarm/internal/hv"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
-	"kvmarm/internal/mmu"
 	"kvmarm/internal/timer"
 	"kvmarm/internal/trace"
 )
@@ -40,7 +39,7 @@ func (x *Hypervisor) enterGuest(c *arm.CPU, v *VCPU) {
 	// HLT exits, EPT on. x86 has no SMC/ACTLR analogues; set/way ops
 	// don't exist; we leave those trap bits clear.
 	c.CP15.Regs[arm.SysHCR] = arm.HCRVM | arm.HCRIMO | arm.HCRFMO | arm.HCRTWI | arm.HCRTWE
-	c.CP15.Write64(arm.SysVTTBRLo, v.vm.EPT.Root|uint64(v.vm.VMID)<<48)
+	c.CP15.Write64(arm.SysVTTBRLo, v.vm.Mem.Table.Root|uint64(v.vm.VMID)<<48)
 
 	// Guest timer state (KVM x86 emulates the APIC timer with hrtimers;
 	// we back it with the hardware timer so TSC-style reads stay exit-free).
@@ -50,10 +49,7 @@ func (x *Hypervisor) enterGuest(c *arm.CPU, v *VCPU) {
 	c.PL1Handler = v.Ctx.PL1Software
 	c.Runner = v.Ctx.Runner
 	x.loaded[c.ID] = v
-	v.phys = c.ID
-	v.insnMark = c.Insns
-	v.state = vcpuRunning
-	v.vm.lastGuestCPU = c
+	v.Loaded(c)
 	c.SetCPSR(v.Ctx.GP.CPSR)
 
 	// Event injection: pending virtual interrupts are delivered on entry.
@@ -98,8 +94,7 @@ func (x *Hypervisor) exitGuest(c *arm.CPU, v *VCPU) {
 	c.PL1Handler = hc.PL1Software
 	c.Runner = hc.Runner
 	x.loaded[c.ID] = nil
-	v.phys = -1
-	v.Stats.GuestInsns += c.Insns - v.insnMark
+	v.Unloaded(c)
 	c.VIRQLine = false
 	c.SetCPSR(hc.CPSR)
 
@@ -124,8 +119,7 @@ func (x *Hypervisor) vmExit(c *arm.CPU, e *arm.Exception) {
 }
 
 func (x *Hypervisor) reenter(c *arm.CPU, v *VCPU) {
-	if v.pauseReq {
-		v.state = vcpuPaused
+	if v.ParkBeforeReentry() {
 		return
 	}
 	x.enterGuest(c, v)
@@ -151,49 +145,23 @@ func (x *Hypervisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception) {
 	case arm.ExcIRQ, arm.ExcFIQ:
 		exitKind = trace.ExitIRQ
 		vm.Stats.IRQExits++
-		v.state = vcpuNeedEnter
-		if v.pauseReq {
-			v.state = vcpuPaused
-		}
+		v.ExitTo(hv.VCPUReady)
 		x.timerOnExit(c, v)
 		return
 	case arm.ExcHVC:
 		exitKind = trace.ExitHypercall
-		vm.Stats.Hypercalls++
-		if e.Imm == kernelPSCISystemOff {
-			for _, o := range vm.vcpus {
-				if o != v {
-					o.Wake(c.ID) // unblock before marking shutdown
-				}
-				o.state = vcpuShutdown
-			}
-			return
-		}
-		x.reenter(c, v)
+		x.handleHypercall(c, v, e)
 		return
 	case arm.ExcHypTrap:
 		switch arm.HSREC(e.HSR) {
 		case arm.ECHVC:
 			exitKind = trace.ExitHypercall
-			vm.Stats.Hypercalls++
-			if e.Imm == kernelPSCISystemOff {
-				for _, o := range vm.vcpus {
-					o.state = vcpuShutdown
-					if o != v {
-						o.Wake(c.ID)
-					}
-				}
-				return
-			}
-			x.reenter(c, v)
+			x.handleHypercall(c, v, e)
 		case arm.ECWFx: // HLT
 			exitKind = trace.ExitWFI
 			vm.Stats.WFIExits++
 			v.Ctx.GP.PC += 4
-			v.state = vcpuBlockedHLT
-			if v.pauseReq {
-				v.state = vcpuPaused
-			}
+			v.ExitTo(hv.VCPUBlocked)
 			x.timerOnExit(c, v)
 		case arm.ECDataAbort, arm.ECInstrAbort:
 			exitKind, exitArg = x.handleEPTViolation(c, v, e)
@@ -204,15 +172,23 @@ func (x *Hypervisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception) {
 			v.Ctx.GP.PC += 4
 			x.reenter(c, v)
 		default:
-			v.state = vcpuNeedEnter
+			v.ExitTo(hv.VCPUReady)
 		}
 	default:
-		v.state = vcpuNeedEnter
+		v.ExitTo(hv.VCPUReady)
 	}
 }
 
-// kernelPSCISystemOff mirrors kernel.PSCISystemOff without the import.
-const kernelPSCISystemOff = 0x808
+// handleHypercall services guest VMCALLs: PSCI-style power-off, or the
+// null hypercall of the Table 3 micro-benchmark.
+func (x *Hypervisor) handleHypercall(c *arm.CPU, v *VCPU, e *arm.Exception) {
+	v.vm.Stats.Hypercalls++
+	if e.Imm == kernel.PSCISystemOff {
+		v.vm.PowerOff(c.ID)
+		return
+	}
+	x.reenter(c, v)
+}
 
 // handleEPTViolation resolves guest-physical faults: RAM slots are backed
 // with host pages; everything else is MMIO, which on x86 always needs
@@ -223,58 +199,21 @@ func (x *Hypervisor) handleEPTViolation(c *arm.CPU, v *VCPU, e *arm.Exception) (
 	vm := v.vm
 	gpa := e.FaultIPA
 	if vm.Mem.InSlot(gpa) {
-		vm.Stats.Stage2Faults++
-		// Copy-on-write write fault (snapshot/fork): break the sharing and
-		// retry. Checked before the dirty log — a shared page is read-only
-		// and never in the log's protected set; the paths below would remap
-		// it to a blank frame.
-		if vm.EPT.CowSharing() {
-			if handled, err := vm.EPT.CowFault(gpa); err != nil {
-				v.state = vcpuShutdown
-				return trace.ExitStage2Fault, gpa
-			} else if handled {
-				vm.flushS2Page(gpa)
-				c.Charge(x.Host.Cost.FaultWork/2 + x.Host.Cost.PageZero)
-				x.reenter(c, v)
-				return trace.ExitStage2Fault, gpa
-			}
+		if err := vm.ResolveRAMFault(c, gpa); err != nil {
+			v.Shutdown()
+		} else {
+			x.reenter(c, v)
 		}
-		// Dirty-log write fault: restore write access and retry (must
-		// precede the allocation path, which would clobber the page).
-		if vm.EPT.DirtyLogging() {
-			if dirty, err := vm.EPT.DirtyFault(gpa); err != nil {
-				v.state = vcpuShutdown
-				return trace.ExitStage2Fault, gpa
-			} else if dirty {
-				vm.flushS2Page(gpa)
-				c.Charge(x.Host.Cost.FaultWork / 2)
-				x.reenter(c, v)
-				return trace.ExitStage2Fault, gpa
-			}
-		}
-		pa, err := x.Host.Alloc.AllocPages(1)
-		if err != nil {
-			v.state = vcpuShutdown
-			return trace.ExitStage2Fault, gpa
-		}
-		if err := vm.EPT.MapPage(uint32(gpa)&^(mmu.PageSize-1), pa, mmu.MapFlags{W: true}); err != nil {
-			v.state = vcpuShutdown
-			return trace.ExitStage2Fault, gpa
-		}
-		c.Charge(x.Host.Cost.FaultWork + x.Host.Cost.PageZero)
-		x.reenter(c, v)
 		return trace.ExitStage2Fault, gpa
 	}
 
 	// MMIO: decode the instruction (always, on x86).
-	isv, sizeLog2, rt, write := arm.DecodeDataAbortISS(arm.HSRISS(e.HSR))
+	_, sizeLog2, rt, write := arm.DecodeDataAbortISS(arm.HSRISS(e.HSR))
 	size := 1 << sizeLog2
-	_ = isv
 	vm.Stats.MMIODecoded++
 	c.Charge(x.P.APICDecode)
 	userBefore := vm.Stats.MMIOUserExits
-	x.emulateMMIO(c, v, gpa, write, size, rt)
-	if v.state == vcpuShutdown {
+	if !x.emulateMMIO(c, v, gpa, write, size, rt) {
 		// The access raised a bus error (injected device fault): the vCPU
 		// is dead, do not advance PC or re-enter the guest.
 		return trace.ExitOther, gpa
@@ -288,7 +227,9 @@ func (x *Hypervisor) handleEPTViolation(c *arm.CPU, v *VCPU, e *arm.Exception) (
 	return kind, gpa
 }
 
-func (x *Hypervisor) emulateMMIO(c *arm.CPU, v *VCPU, gpa uint64, write bool, size, rt int) {
+// emulateMMIO routes an MMIO access. It reports false when the access
+// ended in a bus error and shut the vCPU down.
+func (x *Hypervisor) emulateMMIO(c *arm.CPU, v *VCPU, gpa uint64, write bool, size, rt int) bool {
 	vm := v.vm
 	vm.Stats.MMIOExits++
 
@@ -302,41 +243,15 @@ func (x *Hypervisor) emulateMMIO(c *arm.CPU, v *VCPU, gpa uint64, write bool, si
 			setRegOf(v, rt, vm.APIC.ReadReg(v, off))
 		}
 		c.Charge(x.P.APICEmulate)
-		return
+		return true
 	}
 
-	if r, off := vm.mmio.Find(gpa); r != nil {
-		if r.User {
-			vm.Stats.MMIOUserExits++
-			c.Charge(x.P.KernelToUser + x.P.QEMUWork)
-		} else {
-			c.Charge(x.P.IOKernelWork)
-		}
-		var err error
-		if write {
-			err = hv.MMIOWrite(r.H, v, off, size, uint64(regOf(v, rt)))
-		} else {
-			var val uint64
-			if val, err = hv.MMIORead(r.H, v, off, size); err == nil {
-				setRegOf(v, rt, uint32(val))
-			}
-		}
-		if err != nil {
-			// Injected device error: deliver a bus error. The guests here
-			// have no abort recovery, so the vCPU dies on the spot — the
-			// fleet supervisor's re-fork is the recovery story.
-			vm.Stats.BusErrors++
-			if t := x.Trace; t != nil {
-				t.Emit(trace.Event{Kind: trace.EvGuestBusError, VM: vm.VMID,
-					VCPU: int16(v.ID), CPU: int16(c.ID), PC: v.Ctx.GP.PC, Arg: gpa})
-			}
-			v.state = vcpuShutdown
-		}
-		return
+	val, ok := v.RegionAccess(c, gpa, write, size, uint64(regOf(v, rt)),
+		x.P.KernelToUser+x.P.QEMUWork, x.P.IOKernelWork)
+	if ok && !write {
+		setRegOf(v, rt, uint32(val))
 	}
-	if !write {
-		setRegOf(v, rt, 0)
-	}
+	return ok
 }
 
 // emulateSysReg handles trapped register accesses — for x86 this is the
@@ -417,22 +332,12 @@ func (x *Hypervisor) timerOnExit(c *arm.CPU, v *VCPU) {
 	}
 	vnow := timer.Count(c.Clock) - vt.CNTVOFF
 	if vnow >= vt.CVAL {
-		x.injectTimer(c.ID, v)
+		v.vm.APIC.InjectTimer(c.ID, v.ID)
 		return
 	}
 	v.softTimerCPU = c.ID
 	v.softTimerID = x.Host.AddTimer(c.ID, c, vt.CVAL-vnow+1, func(_ *kernel.Kernel, cpu int) {
 		v.softTimerID = 0
-		x.injectTimer(cpu, v)
+		v.vm.APIC.InjectTimer(cpu, v.ID)
 	})
-}
-
-func (x *Hypervisor) injectTimer(fromHostCPU int, v *VCPU) {
-	v.vm.Stats.VTimerInjected++
-	if t := x.Trace; t != nil {
-		t.Emit(trace.Event{Kind: trace.EvVTimerInject, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(fromHostCPU), Arg: 27})
-	}
-	v.vm.APIC.InjectPPI(v, 27)
-	v.Wake(fromHostCPU)
 }

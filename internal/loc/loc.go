@@ -4,11 +4,14 @@
 // which the lowvisor is 718) against KVM x86's 25,367.
 //
 // For this reproduction the comparable split is: the KVM/ARM implementation
-// (internal/core) by component, the KVM x86 comparator (internal/kvmx86 +
+// (internal/core, plus the virtual distributor it shares with the VHE
+// backend) by component, the KVM x86 comparator (internal/kvmx86 +
 // internal/x86), and the architecture-generic substrate both share.
-// internal/hv — the backend-neutral Hypervisor/VM/VCPU layer — is the
-// analogue of Linux's virt/kvm/: arch-neutral code that Table 4 charges to
-// neither architecture.
+// internal/hv — the backend-neutral Hypervisor/VM/VCPU layer and the kit
+// every backend embeds: memslots, second-stage fault resolution, the dirty
+// log, vCPU block/kick, register and device save/restore — is the analogue
+// of Linux's virt/kvm/: arch-neutral code that Table 4 charges to neither
+// architecture.
 package loc
 
 import (
@@ -110,6 +113,12 @@ type Component struct {
 	Paths []string
 }
 
+// vdistFile is the one file under ArchNeutralDirs that is ARM code all the
+// same: the virtual distributor lives in internal/hv only because two ARM
+// backends share it, and Linux counted its counterpart
+// (arch/arm/kvm/vgic.c) in KVM/ARM's 5,812 lines.
+const vdistFile = "internal/hv/vdist.go"
+
 // Table4Components returns this repository's Table 4 breakdown for the
 // KVM/ARM side: the components mirror the paper's rows (Core CPU, Page
 // Fault Handling, Interrupts, Timers, Other).
@@ -117,10 +126,13 @@ func Table4Components(root string) []Component {
 	j := func(p string) string { return filepath.Join(root, p) }
 	return []Component{
 		{"Core CPU (lowvisor + world switch)", []string{j("internal/core/lowvisor.go"), j("internal/core/context.go")}},
-		{"Page Fault Handling", []string{j("internal/core/kvm.go")}},
-		{"Interrupts", []string{j("internal/hv/vdist.go")}},
+		// Stage-2 fault resolution is hv.VMCore.ResolveRAMFault, shared by
+		// every backend and so arch-neutral like virt/kvm; what is left on
+		// the ARM side is the abort classification inside highvisor.go.
+		{"Page Fault Handling", []string{}},
+		{"Interrupts", []string{j(vdistFile)}},
 		{"Timers", []string{}}, // vtimer code lives inside highvisor.go; counted there
-		{"Other (highvisor, MMIO, guest glue)", []string{j("internal/core/highvisor.go"), j("internal/core/guestos.go")}},
+		{"Other (highvisor, MMIO, guest glue)", []string{j("internal/core/highvisor.go"), j("internal/core/kvm.go"), j("internal/core/guestos.go")}},
 	}
 }
 
@@ -136,7 +148,8 @@ type Row struct {
 // the counterpart of Linux's virt/kvm/.
 var ArchNeutralDirs = []string{"internal/hv"}
 
-// ArchNeutral counts the backend-neutral hypervisor code (internal/hv).
+// ArchNeutral counts the backend-neutral hypervisor code: internal/hv
+// less the ARM files Table4 charges to KVM/ARM.
 func ArchNeutral(root string) (Count, error) {
 	var total Count
 	for _, d := range ArchNeutralDirs {
@@ -146,18 +159,32 @@ func ArchNeutral(root string) (Count, error) {
 		}
 		total.Add(c)
 	}
+	vdist, err := CountFile(filepath.Join(root, vdistFile))
+	if err != nil {
+		return Count{}, err
+	}
+	total.Files -= vdist.Files
+	total.Code -= vdist.Code
+	total.Comments -= vdist.Comments
+	total.Blank -= vdist.Blank
 	return total, nil
 }
 
-// Table4 counts this repository's hypervisor code: internal/core (KVM/ARM)
-// against internal/kvmx86+internal/x86 (KVM x86 model), with the paper's
-// numbers carried alongside by the caller. The shared internal/hv layer is
-// counted by ArchNeutral, not charged to either side.
+// Table4 counts this repository's hypervisor code: internal/core plus the
+// virtual distributor (KVM/ARM) against internal/kvmx86+internal/x86 (KVM
+// x86 model), with the paper's numbers carried alongside by the caller.
+// The rest of the shared internal/hv layer is counted by ArchNeutral, not
+// charged to either side.
 func Table4(root string) ([]Row, Count, Count, error) {
 	armTotal, err := CountDir(filepath.Join(root, "internal/core"), false)
 	if err != nil {
 		return nil, Count{}, Count{}, err
 	}
+	vdist, err := CountFile(filepath.Join(root, vdistFile))
+	if err != nil {
+		return nil, Count{}, Count{}, err
+	}
+	armTotal.Add(vdist)
 	x86Total, err := CountDir(filepath.Join(root, "internal/kvmx86"), false)
 	if err != nil {
 		return nil, Count{}, Count{}, err

@@ -1,9 +1,6 @@
 package vhe
 
 import (
-	"fmt"
-
-	"kvmarm/internal/arm"
 	"kvmarm/internal/hv"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
@@ -27,63 +24,15 @@ func (vm *VM) NewGuestOS(memBytes uint64) (hv.GuestOS, error) {
 // NewGuestOS creates the guest kernel for vm (whose vCPUs must already be
 // created) and installs boot shims on each vCPU.
 func NewGuestOS(vm *VM, memBytes uint64) (*GuestOS, error) {
-	if len(vm.vcpus) == 0 {
-		return nil, fmt.Errorf("vhe: create vCPUs before the guest OS")
+	cfg, err := vm.GuestKernelConfig(memBytes)
+	if err != nil {
+		return nil, err
 	}
-	x := vm.kvm
+	if vm.kvm.Board.Cfg.HasDirectVIPI {
+		// The §6 direct-VIPI register, when the hardware has it.
+		cfg.HW.VSGIBase = machine.GICVSGIBase
+	}
 	g := &GuestOS{VM: vm}
-
-	phys := &hv.GuestPhysIO{
-		Label: fmt.Sprintf("VM %d", vm.VMID),
-		Cur: func() *arm.CPU {
-			c := x.Board.CPUs[x.Board.Current]
-			if lv := x.loaded[c.ID]; lv != nil && lv.vm == vm {
-				return c
-			}
-			return nil
-		},
-		Last: func() *arm.CPU { return vm.lastGuestCPU },
-	}
-
-	k := kernel.New(kernel.Config{
-		Name:    fmt.Sprintf("vheguest-vm%d", vm.VMID),
-		NumCPUs: len(vm.vcpus),
-		CPU: func(i int) *arm.CPU {
-			v := vm.vcpus[i]
-			if v.phys >= 0 {
-				return x.Board.CPUs[v.phys]
-			}
-			if vm.lastGuestCPU != nil {
-				return vm.lastGuestCPU
-			}
-			return x.Board.CPUs[0]
-		},
-		HW: kernel.HWConfig{
-			GICDistBase: machine.GICDistBase,
-			GICCPUBase:  machine.GICCPUBase,
-			UARTBase:    machine.UARTBase,
-			NetBase:     machine.VirtNetBase,
-			BlkBase:     machine.VirtBlkBase,
-			ConBase:     machine.VirtConBase,
-			IRQNet:      machine.IRQNet,
-			IRQBlk:      machine.IRQBlk,
-			IRQCon:      machine.IRQCon,
-			VSGIBase:    vsgiBase(x),
-		},
-		Mem:       phys,
-		AllocBase: machine.RAMBase + (8 << 20),
-		AllocSize: memBytes - (16 << 20),
-	})
-
-	g.Attach(k, x.Board, vm.VCPUs())
+	g.Attach(kernel.New(cfg), vm.kvm.Board, vm.VCPUs())
 	return g, nil
-}
-
-// vsgiBase reports the direct-VIPI register address when the hardware
-// implements the §6 extension.
-func vsgiBase(x *Hypervisor) uint64 {
-	if x.Board.Cfg.HasDirectVIPI {
-		return machine.GICVSGIBase
-	}
-	return 0
 }

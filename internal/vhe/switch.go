@@ -7,7 +7,6 @@ import (
 	"kvmarm/internal/isa"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
-	"kvmarm/internal/mmu"
 	"kvmarm/internal/timer"
 	"kvmarm/internal/trace"
 )
@@ -84,7 +83,7 @@ func (x *Hypervisor) enterGuest(c *arm.CPU, v *VCPU) {
 	c.Charge(2 * c.Cost.SysRegMove)
 
 	// Stage-2 page table base.
-	c.CP15.Write64(arm.SysVTTBRLo, v.vm.S2.Root|uint64(v.vm.VMID)<<48)
+	c.CP15.Write64(arm.SysVTTBRLo, v.vm.Mem.Table.Root|uint64(v.vm.VMID)<<48)
 	c.Charge(c.Cost.SysRegMove)
 
 	// Guest GP registers: the full trap frame, as in split mode — this
@@ -96,10 +95,7 @@ func (x *Hypervisor) enterGuest(c *arm.CPU, v *VCPU) {
 	c.PL1Handler = v.Ctx.PL1Software
 	c.Runner = v.Ctx.Runner
 	x.loaded[c.ID] = v
-	v.phys = c.ID
-	v.insnMark = c.Insns
-	v.state = vcpuRunning
-	v.vm.lastGuestCPU = c
+	v.Loaded(c)
 	c.SetCPSR(v.Ctx.GP.CPSR)
 	c.Charge(c.Cost.ERET)
 
@@ -185,8 +181,7 @@ func (x *Hypervisor) exitGuest(c *arm.CPU, v *VCPU) {
 	c.PL1Handler = hc.PL1Software
 	c.Runner = hc.Runner
 	x.loaded[c.ID] = nil
-	v.phys = -1
-	v.Stats.GuestInsns += c.Insns - v.insnMark
+	v.Unloaded(c)
 	c.VIRQLine = false
 	c.SetCPSR(hc.CPSR)
 
@@ -248,8 +243,7 @@ func (x *Hypervisor) vheExit(c *arm.CPU, e *arm.Exception) {
 // reenter performs the return half of an in-kernel handled exit: a direct
 // call back into the world switch — unless user space asked for a pause.
 func (x *Hypervisor) reenter(c *arm.CPU, v *VCPU) {
-	if v.pauseReq {
-		v.state = vcpuPaused
+	if v.ParkBeforeReentry() {
 		return
 	}
 	x.enterGuest(c, v)
@@ -276,10 +270,7 @@ func (x *Hypervisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint
 		// as soon as we unwind; the vCPU thread then re-enters.
 		exitKind = trace.ExitIRQ
 		v.vm.Stats.IRQExits++
-		v.state = vcpuNeedEnter
-		if v.pauseReq {
-			v.state = vcpuPaused
-		}
+		v.ExitTo(hv.VCPUReady)
 		x.vtimerOnExit(c, v)
 		return
 	case arm.ExcHVC:
@@ -295,10 +286,7 @@ func (x *Hypervisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint
 			exitKind = trace.ExitWFI
 			v.vm.Stats.WFIExits++
 			v.Ctx.GP.PC += 4 // skip the WFI/WFE
-			v.state = vcpuBlockedWFI
-			if v.pauseReq {
-				v.state = vcpuPaused
-			}
+			v.ExitTo(hv.VCPUBlocked)
 			x.vtimerOnExit(c, v)
 		case arm.ECDataAbort, arm.ECInstrAbort:
 			exitKind, exitArg = x.handleAbort(c, v, e, insn, insnOK)
@@ -314,10 +302,10 @@ func (x *Hypervisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint
 			v.Ctx.GP.PC += 4
 			x.reenter(c, v)
 		default:
-			v.state = vcpuNeedEnter
+			v.ExitTo(hv.VCPUReady)
 		}
 	default:
-		v.state = vcpuNeedEnter
+		v.ExitTo(hv.VCPUReady)
 	}
 }
 
@@ -327,13 +315,7 @@ func (x *Hypervisor) handleHypercall(c *arm.CPU, v *VCPU, e *arm.Exception) {
 	v.vm.Stats.Hypercalls++
 	switch e.Imm {
 	case kernel.PSCISystemOff:
-		for _, o := range v.vm.vcpus {
-			if o != v {
-				o.Wake(c.ID) // unblock before marking shutdown
-			}
-			o.state = vcpuShutdown
-		}
-		return
+		v.vm.PowerOff(c.ID)
 	default:
 		// Null hypercall: immediately back in.
 		x.reenter(c, v)
@@ -346,46 +328,11 @@ func (x *Hypervisor) handleAbort(c *arm.CPU, v *VCPU, e *arm.Exception, insn uin
 	vm := v.vm
 	ipa := e.FaultIPA
 	if vm.Mem.InSlot(ipa) {
-		vm.Stats.Stage2Faults++
-		// Copy-on-write write fault (snapshot/fork): break the sharing and
-		// retry. Checked before the dirty log — a shared page is read-only
-		// and never in the log's protected set; the paths below would remap
-		// it to a blank frame.
-		if vm.S2.CowSharing() {
-			if handled, err := vm.S2.CowFault(ipa); err != nil {
-				v.state = vcpuShutdown
-				return trace.ExitStage2Fault, ipa
-			} else if handled {
-				vm.flushS2Page(ipa)
-				c.Charge(x.Host.Cost.FaultWork/2 + x.Host.Cost.PageZero)
-				x.reenter(c, v)
-				return trace.ExitStage2Fault, ipa
-			}
+		if err := vm.ResolveRAMFault(c, ipa); err != nil {
+			v.Shutdown()
+		} else {
+			x.reenter(c, v)
 		}
-		// Dirty-log write fault: restore write access and retry (must
-		// precede the allocation path, which would clobber the page).
-		if vm.S2.DirtyLogging() {
-			if dirty, err := vm.S2.DirtyFault(ipa); err != nil {
-				v.state = vcpuShutdown
-				return trace.ExitStage2Fault, ipa
-			} else if dirty {
-				vm.flushS2Page(ipa)
-				c.Charge(x.Host.Cost.FaultWork / 2)
-				x.reenter(c, v)
-				return trace.ExitStage2Fault, ipa
-			}
-		}
-		pa, err := x.Host.Alloc.AllocPages(1)
-		if err != nil {
-			v.state = vcpuShutdown
-			return trace.ExitStage2Fault, ipa
-		}
-		if err := vm.S2.MapPage(uint32(ipa)&^(mmu.PageSize-1), pa, mmu.MapFlags{W: true}); err != nil {
-			v.state = vcpuShutdown
-			return trace.ExitStage2Fault, ipa
-		}
-		c.Charge(x.Host.Cost.FaultWork + x.Host.Cost.PageZero)
-		x.reenter(c, v)
 		return trace.ExitStage2Fault, ipa
 	}
 
@@ -395,13 +342,13 @@ func (x *Hypervisor) handleAbort(c *arm.CPU, v *VCPU, e *arm.Exception, insn uin
 	size := 1 << sizeLog2
 	if !isv {
 		if !insnOK {
-			v.state = vcpuShutdown
+			v.Shutdown()
 			return trace.ExitOther, ipa
 		}
 		in := isa.Decode(insn)
 		isMem, isStore, _, sz := in.IsMemAccess()
 		if !isMem {
-			v.state = vcpuShutdown
+			v.Shutdown()
 			return trace.ExitOther, ipa
 		}
 		vm.Stats.MMIODecoded++
@@ -409,8 +356,7 @@ func (x *Hypervisor) handleAbort(c *arm.CPU, v *VCPU, e *arm.Exception, insn uin
 		c.Charge(200) // decode work
 	}
 	userBefore := vm.Stats.MMIOUserExits
-	x.emulateMMIO(c, v, ipa, write, size, rt)
-	if v.state == vcpuShutdown {
+	if !x.emulateMMIO(c, v, ipa, write, size, rt) {
 		// The access raised a bus error (injected device fault): the vCPU
 		// is dead, do not advance PC or re-enter the guest.
 		return trace.ExitOther, ipa
@@ -427,8 +373,9 @@ func (x *Hypervisor) handleAbort(c *arm.CPU, v *VCPU, e *arm.Exception, insn uin
 // emulateMMIO routes an MMIO access: the virtual distributor and other
 // in-kernel devices are emulated directly; everything else goes to user
 // space (QEMU). The board always has a VGIC here, so the GIC CPU
-// interface never traps (it is Stage-2 mapped to the VGIC).
-func (x *Hypervisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, size, rt int) {
+// interface never traps (it is Stage-2 mapped to the VGIC). It reports
+// false when the access ended in a bus error and shut the vCPU down.
+func (x *Hypervisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, size, rt int) bool {
 	vm := v.vm
 	vm.Stats.MMIOExits++
 
@@ -440,43 +387,17 @@ func (x *Hypervisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, si
 			v.Ctx.SetReg(rt, vm.VDist.ReadReg(v, off))
 		}
 		c.Charge(600) // in-kernel emulation work incl. locking
-		return
+		return true
 	}
 
-	if r, off := vm.mmio.Find(ipa); r != nil {
-		if r.User {
-			vm.Stats.MMIOUserExits++
-			c.Charge(x.UserTransitionCycles + x.QEMUWorkCycles)
-		} else {
-			c.Charge(620) // in-kernel device emulation work
-		}
-		var err error
-		if write {
-			err = hv.MMIOWrite(r.H, v, off, size, uint64(v.Ctx.Reg(rt)))
-		} else {
-			var val uint64
-			if val, err = hv.MMIORead(r.H, v, off, size); err == nil {
-				v.Ctx.SetReg(rt, uint32(val))
-			}
-		}
-		if err != nil {
-			// Injected device error: deliver a bus error. The guests here
-			// have no abort recovery, so the vCPU dies on the spot — the
-			// fleet supervisor's re-fork is the recovery story.
-			vm.Stats.BusErrors++
-			if t := x.Trace; t != nil {
-				t.Emit(trace.Event{Kind: trace.EvGuestBusError, VM: vm.VMID,
-					VCPU: int16(v.ID), CPU: int16(c.ID), PC: v.Ctx.GP.PC, Arg: ipa})
-			}
-			v.state = vcpuShutdown
-		}
-		return
+	// Registered regions: in-kernel device emulation work, or the round
+	// trip to QEMU.
+	val, ok := v.RegionAccess(c, ipa, write, size, uint64(v.Ctx.Reg(rt)),
+		x.UserTransitionCycles+x.QEMUWorkCycles, 620)
+	if ok && !write {
+		v.Ctx.SetReg(rt, uint32(val))
 	}
-
-	// Unbacked address: reads as zero, writes ignored.
-	if !write {
-		v.Ctx.SetReg(rt, 0)
-	}
+	return ok
 }
 
 // emulateSysReg services trapped MRC/MCR accesses. The timer-emulation
@@ -492,7 +413,7 @@ func (x *Hypervisor) emulateSysReg(c *arm.CPU, v *VCPU, e *arm.Exception) {
 		c.Charge(120)
 	case arm.SysL2CTLR:
 		if read {
-			v.Ctx.SetReg(rt, uint32(len(v.vm.vcpus)-1)<<24)
+			v.Ctx.SetReg(rt, uint32(v.vm.NumVCPUs()-1)<<24)
 		}
 		c.Charge(120)
 	case arm.SysL2ECTLR, arm.SysCSSELR, arm.SysCCSIDR, arm.SysCP14DBG, arm.SysCP14TRC:
@@ -533,7 +454,7 @@ func (x *Hypervisor) vtimerOnExit(c *arm.CPU, v *VCPU) {
 	vnow := timer.Count(c.Clock) - vt.CNTVOFF
 	if vnow >= vt.CVAL {
 		v.Ctx.VTimer.CTL |= timer.CTLIMask
-		x.injectVTimer(c.ID, v)
+		v.vm.VDist.InjectTimer(c.ID, v.ID)
 		return
 	}
 	if v.softTimerID != 0 {
@@ -550,7 +471,7 @@ func (x *Hypervisor) armSoftTimer(c *arm.CPU, v *VCPU) {
 	v.softTimerCPU = hostCPU
 	v.softTimerID = x.Host.AddTimer(hostCPU, c, delay+1, func(_ *kernel.Kernel, cpu int) {
 		v.softTimerID = 0
-		x.injectVTimer(cpu, v)
+		v.vm.VDist.InjectTimer(cpu, v.ID)
 	})
 }
 
@@ -559,14 +480,4 @@ func (x *Hypervisor) cancelSoftTimer(c *arm.CPU, v *VCPU) {
 		x.Host.CancelTimer(v.softTimerCPU, c, v.softTimerID)
 		v.softTimerID = 0
 	}
-}
-
-func (x *Hypervisor) injectVTimer(fromHostCPU int, v *VCPU) {
-	v.vm.Stats.VTimerInjected++
-	if t := x.Trace; t != nil {
-		t.Emit(trace.Event{Kind: trace.EvVTimerInject, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(fromHostCPU), Arg: gic.IRQVirtTimer})
-	}
-	v.vm.VDist.InjectPPI(v, gic.IRQVirtTimer)
-	v.Wake(fromHostCPU)
 }

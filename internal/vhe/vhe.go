@@ -35,28 +35,12 @@ import (
 	"fmt"
 
 	"kvmarm/internal/arm"
-	"kvmarm/internal/dev"
-	"kvmarm/internal/fault"
 	"kvmarm/internal/gic"
 	"kvmarm/internal/hv"
 	"kvmarm/internal/isa"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
-	"kvmarm/internal/mmu"
-	"kvmarm/internal/timer"
 	"kvmarm/internal/trace"
-)
-
-// Backend-neutral aliases, shared with the other backends via internal/hv.
-type (
-	// MMIOHandler emulates a device region for a VM.
-	MMIOHandler = hv.MMIOHandler
-	// VMStats counts per-VM hypervisor activity.
-	VMStats = hv.VMStats
-	// VCPUStats counts per-vCPU exits.
-	VCPUStats = hv.VCPUStats
-	// RegID names one guest register in the ONE_REG namespace.
-	RegID = hv.RegID
 )
 
 // Stats instruments the hypervisor, under the same names as the split-mode
@@ -73,13 +57,11 @@ type Stats struct {
 }
 
 // Hypervisor is KVM with VHE: one component, running entirely in the host
-// kernel at EL2.
+// kernel at EL2. Board/host wiring, the tracer and fault plane, the VM list
+// and VMID allocation are the embedded kit base.
 type Hypervisor struct {
-	Board *machine.Board
-	Host  *kernel.Kernel
+	hv.Base
 
-	vms      []*VM
-	nextVMID uint8
 	// loaded tracks which vCPU each physical CPU is running.
 	loaded []*VCPU
 	// hostCtx parks the host's callee-saved state per physical CPU during
@@ -99,23 +81,11 @@ type Hypervisor struct {
 
 	Stats Stats
 
-	// Trace is the unified exit/trap event sink; nil when tracing is off.
-	Trace *trace.Tracer
-
-	// Fault is the fault-injection plane (internal/fault); nil when
-	// injection is off. Attach with AttachFaultPlane.
-	Fault *fault.Plane
-
 	// Blocks is the decoded basic-block cache shared by every vCPU (blocks
 	// are keyed by physical address, so one cache serves all VMs). The
 	// Stage-2 tables and physical RAM notify it on every event that can
 	// invalidate decoded code.
 	Blocks *isa.BlockCache
-
-	// vcpuProcs maps host processes to the vCPUs they run, so the host
-	// scheduler's switch/preempt hooks can attribute steal time to the
-	// right VM/vCPU in the trace stream (overcommit observability).
-	vcpuProcs map[*kernel.Proc]*VCPU
 }
 
 // hostContext is the host state parked during guest execution. The GP
@@ -143,36 +113,15 @@ func Init(b *machine.Board, host *kernel.Kernel) (*Hypervisor, error) {
 		return nil, fmt.Errorf("vhe: ARMv8.1 hardware implies a VGIC and virtual timers")
 	}
 	x := &Hypervisor{
-		Board:                b,
-		Host:                 host,
 		loaded:               make([]*VCPU, len(b.CPUs)),
 		hostCtx:              make([]hostContext, len(b.CPUs)),
 		LazyVGIC:             true,
 		UserTransitionCycles: 3000,
 		QEMUWorkCycles:       1400,
-		vcpuProcs:            make(map[*kernel.Proc]*VCPU),
 	}
-	// Host-scheduler observability: when the host multiplexes more vCPU
-	// threads than physical CPUs, surface per-vCPU steal time and
-	// preemptions through the trace stream (kvmarm-stat's scheduling
-	// section). Non-vCPU host processes are accounted on their Proc only.
-	host.OnSchedSwitch = func(cpu int, p *kernel.Proc, wait uint64) {
-		v := x.vcpuProcs[p]
-		if v == nil || wait == 0 || x.Trace == nil {
-			return
-		}
-		x.Trace.Emit(trace.Event{Kind: trace.EvSchedSteal, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(cpu), Cycles: wait << timer.CycleShift, Time: b.CPUs[cpu].Clock})
-	}
-	host.OnSchedPreempt = func(cpu int, p *kernel.Proc) {
-		v := x.vcpuProcs[p]
-		if v == nil || x.Trace == nil {
-			return
-		}
-		x.Trace.Emit(trace.Event{Kind: trace.EvSchedPreempt, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(cpu), Time: b.CPUs[cpu].Clock})
-	}
+	x.Base.Init(b, host)
 	x.Blocks = isa.NewBlockCache(b.RAM)
+	x.Code = x.Blocks
 	b.RAM.OnWrite = x.Blocks.OnWrite
 	for _, c := range b.CPUs {
 		c.HypHandler = x.vheExit
@@ -202,59 +151,12 @@ func Init(b *machine.Board, host *kernel.Kernel) (*Hypervisor, error) {
 	return x, nil
 }
 
-// AttachTracer wires t into every layer: world switch, exit
-// classification, GIC and timer traffic, and each physical CPU's TLB.
-// Existing VMs and vCPUs are registered for per-VM/per-vCPU counters;
-// attach before creating VMs to capture boot-time exits too. Passing nil
-// detaches.
+// AttachTracer wires t into every layer: what the kit base covers (world
+// switch and exit classification emit through it; GIC, timers, TLBs) plus
+// the block cache.
 func (x *Hypervisor) AttachTracer(t *trace.Tracer) {
-	x.Trace = t
-	x.Board.GIC.Trace = t
-	if x.Board.Timers != nil {
-		x.Board.Timers.Trace = t
-	}
-	for _, c := range x.Board.CPUs {
-		c.MMU.Trace = t
-	}
-	if x.Blocks != nil {
-		x.Blocks.Trace = t
-	}
-	for _, vm := range x.vms {
-		t.RegisterVM(vm.VMID)
-		for _, v := range vm.vcpus {
-			t.RegisterVCPU(vm.VMID, v.ID)
-		}
-	}
-}
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (x *Hypervisor) Tracer() *trace.Tracer { return x.Trace }
-
-// AttachFaultPlane wires the fault-injection plane into every consult
-// point of this backend: each VM's Stage-2 dirty-log operations, vCPU
-// park requests, and device save/restore. Passing nil detaches.
-func (x *Hypervisor) AttachFaultPlane(p *fault.Plane) {
-	x.Fault = p
-	for _, vm := range x.vms {
-		vm.S2.Fault = p
-		for _, d := range []*dev.Virt{vm.Net, vm.Blk, vm.Con} {
-			if d != nil {
-				d.Fault = p
-			}
-		}
-	}
-}
-
-// FaultPlane returns the attached plane (nil when injection is off).
-func (x *Hypervisor) FaultPlane() *fault.Plane { return x.Fault }
-
-// VMs lists the created VMs.
-func (x *Hypervisor) VMs() []hv.VM {
-	out := make([]hv.VM, len(x.vms))
-	for i, vm := range x.vms {
-		out[i] = vm
-	}
-	return out
+	x.Base.AttachTracer(t)
+	x.Blocks.Trace = t
 }
 
 // Counters exposes the hypervisor-level statistics under the same stable
@@ -285,17 +187,12 @@ func (x *Hypervisor) LoadedVCPU(cpuID int) *VCPU { return x.loaded[cpuID] }
 // shape as the split-mode backend's, because the *guest-visible* state is
 // identical; what VHE changes is how much HOST state moves with it.
 type GuestContext struct {
-	GP     arm.GPSnapshot
-	CP15   [arm.NumCtxControlRegs]uint32
+	hv.GuestRegs
 	VPIDR  uint32
 	VMPIDR uint32
 	VGIC   gic.VGICCpu
-	VTimer timer.VirtState
 	VFP    arm.VFP
 	Dirty  bool
-
-	PL1Software arm.ExcHandler
-	Runner      arm.Runner
 }
 
 // Reg reads GP register n from the saved context (banked by saved mode).
@@ -304,219 +201,54 @@ func (g *GuestContext) Reg(n int) uint32 { return hv.BankedReg(&g.GP, n) }
 // SetReg writes GP register n in the saved context.
 func (g *GuestContext) SetReg(n int, v uint32) { hv.SetBankedReg(&g.GP, n, v) }
 
-// VM is one virtual machine.
+// VM is one virtual machine: the kit's VM core plus the virtual
+// distributor. Under VHE the Stage-2 table is still a separate table —
+// two-dimensional paging is architecture, not split.
 type VM struct {
-	kvm  *Hypervisor
-	VMID uint8
-	// S2 is the Stage-2 page table (IPA → PA). Under VHE it is still a
-	// separate table — two-dimensional paging is architecture, not split.
-	S2    *mmu.Builder
-	Mem   hv.GuestMem
+	hv.VMCore
+	kvm   *Hypervisor
 	VDist *hv.VDist
-	vcpus []*VCPU
-
-	mmio hv.Regions
-
-	Net *dev.Virt
-	Blk *dev.Virt
-	Con *dev.Virt
-	// Console collects virtual UART output.
-	Console []byte
-
-	// lastGuestCPU is the physical CPU most recently executing this VM.
-	lastGuestCPU *arm.CPU
-
-	Stats VMStats
 }
 
 // CreateVM builds a VM with memBytes of guest RAM at the canonical base.
 func (x *Hypervisor) CreateVM(memBytes uint64) (hv.VM, error) {
-	x.nextVMID++
-	if x.nextVMID == 0 {
-		return nil, fmt.Errorf("vhe: out of VMIDs")
-	}
-	s2, err := mmu.NewBuilder(mmu.TableStage2, x.Board.RAM, x.Host.Alloc)
-	if err != nil {
+	vm := &VM{kvm: x}
+	vm.IdleState = "wfi"
+	if err := x.InitVM(&vm.VMCore, memBytes); err != nil {
 		return nil, err
 	}
-	vm := &VM{kvm: x, VMID: x.nextVMID, S2: s2}
-	s2.Fault = x.Fault
-	s2.Code = x.Blocks
-	vm.Mem = hv.GuestMem{Table: s2, Alloc: x.Host.Alloc, RAM: x.Board.RAM}
-	vm.Mem.FlushPage = vm.flushS2Page
-	vm.Mem.FlushAll = vm.flushTLBs
-	if err := vm.Mem.AddSlot(machine.RAMBase, memBytes); err != nil {
+	vm.VDist = hv.NewVDist(x.Board, vm.VMID, &vm.Stats, x.Tracer)
+	if err := hv.MapVGIC(x.Board, vm.Mem.Table); err != nil {
 		return nil, err
 	}
-	vm.VDist = hv.NewVDist(x.Board, vm.VMID, &vm.Stats, func() *trace.Tracer { return x.Trace })
-	x.Trace.RegisterVM(vm.VMID)
-
-	// Map the VGIC virtual CPU interface at the IPA where guests expect
-	// the GIC CPU interface (§3.5): ACK/EOI run without traps.
-	if err := s2.MapPage(uint32(machine.GICCPUBase), machine.GICVBase, mmu.MapFlags{W: true}); err != nil {
+	if err := vm.BringUp(vm, vm.VDist); err != nil {
 		return nil, err
 	}
-	if x.Board.Cfg.HasDirectVIPI {
-		// §6 extension: the direct virtual-SGI register is guest-visible.
-		if err := s2.MapPage(uint32(machine.GICVSGIBase), machine.GICVSGIBase, mmu.MapFlags{W: true}); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := x.Fault.Fail(fault.PtDevBringup); err != nil {
-		return nil, fmt.Errorf("vhe: device bring-up for vm %d: %w", vm.VMID, err)
-	}
-	vm.Net, vm.Blk, vm.Con = hv.StandardDevices(x.Board, vm, func(irq int, level bool) {
-		vm.VDist.InjectSPI(irq, level)
-	}, &vm.Console)
-	vm.Net.Fault, vm.Blk.Fault, vm.Con.Fault = x.Fault, x.Fault, x.Fault
-
-	x.vms = append(x.vms, vm)
 	return vm, nil
 }
 
-// ID is the VMID (tags the VM's TLB entries).
-func (vm *VM) ID() uint8 { return vm.VMID }
-
-// GuestMemory exposes the slot bookkeeping and Stage-2 table for snapshot
-// capture and copy-on-write fork.
-func (vm *VM) GuestMemory() *hv.GuestMem { return &vm.Mem }
-
-// Device returns the VM's emulated virtio-style device of class, or nil.
-func (vm *VM) Device(class dev.VirtClass) *dev.Virt {
-	switch class {
-	case dev.VirtNet:
-		return vm.Net
-	case dev.VirtBlock:
-		return vm.Blk
-	case dev.VirtConsole:
-		return vm.Con
-	}
-	return nil
-}
-
-// ConsoleBytes returns the virtual UART output collected so far.
-func (vm *VM) ConsoleBytes() []byte { return vm.Console }
-
-// StatsSnapshot copies out the per-VM activity counters.
-func (vm *VM) StatsSnapshot() hv.VMStats { return vm.Stats }
-
-// AddUserMMIO registers a QEMU-emulated region (I/O User path).
-func (vm *VM) AddUserMMIO(base, size uint64, h MMIOHandler) {
-	vm.mmio.Add(base, size, h, true)
-}
-
-// AddKernelMMIO registers an in-kernel emulated region (I/O Kernel path).
-func (vm *VM) AddKernelMMIO(base, size uint64, h MMIOHandler) {
-	vm.mmio.Add(base, size, h, false)
-}
-
-// EnsureMapped populates the Stage-2 mapping for the page containing ipa
-// and returns the backing PA.
-func (vm *VM) EnsureMapped(ipa uint64) (uint64, error) {
-	return vm.Mem.EnsureMapped(ipa)
-}
-
-// WriteGuestMem copies data into guest-physical memory.
-func (vm *VM) WriteGuestMem(ipa uint64, data []byte) error {
-	return vm.Mem.Write(ipa, data)
-}
-
-// ReadGuestMem copies guest-physical memory out.
-func (vm *VM) ReadGuestMem(ipa uint64, n int) ([]byte, error) {
-	return vm.Mem.Read(ipa, n)
-}
-
-// SetUserMemoryRegion adds a guest RAM slot.
-func (vm *VM) SetUserMemoryRegion(ipaBase, size uint64) error {
-	return vm.Mem.AddSlot(ipaBase, size)
-}
-
-// VCPUs returns the VM's vCPUs.
-func (vm *VM) VCPUs() []hv.VCPU {
-	out := make([]hv.VCPU, len(vm.vcpus))
-	for i, v := range vm.vcpus {
-		out[i] = v
-	}
-	return out
-}
-
-type vcpuState int
-
-const (
-	vcpuNeedEnter vcpuState = iota
-	vcpuRunning
-	vcpuBlockedWFI
-	vcpuPaused
-	vcpuShutdown
-)
-
-// VCPU is one virtual CPU.
+// VCPU is one virtual CPU: the kit's vCPU core plus the world-switch
+// context.
 type VCPU struct {
+	hv.VCPUCore
 	vm  *VM
-	ID  int
 	Ctx GuestContext
-
-	phys  int
-	state vcpuState
-	wq    *kernel.WaitQueue
-	proc  *kernel.Proc
-
-	// insnMark is the physical CPU's retired-instruction count at the
-	// last world-switch in; the switch out accumulates the delta into
-	// Stats.GuestInsns (per-vCPU architectural progress).
-	insnMark uint64
 
 	softTimerID  uint64
 	softTimerCPU int
-
-	// pauseReq asks the run loop to park the vCPU at its next exit.
-	pauseReq bool
-
-	Stats VCPUStats
 }
 
 // CreateVCPU adds a vCPU to the VM.
 func (vm *VM) CreateVCPU(id int) (hv.VCPU, error) {
-	if id != len(vm.vcpus) {
-		return nil, fmt.Errorf("vhe: vCPUs must be created in order")
-	}
-	host0 := vm.kvm.Board.CPUs[0]
-	v := &VCPU{
-		vm:   vm,
-		ID:   id,
-		phys: -1,
-		wq:   kernel.NewWaitQueue(fmt.Sprintf("vhevcpu%d.%d", vm.VMID, id)),
+	v := &VCPU{vm: vm}
+	if err := vm.InitVCPU(&v.VCPUCore, v, &v.Ctx.GuestRegs, id); err != nil {
+		return nil, err
 	}
 	v.Ctx.GP.CPSR = uint32(arm.ModeSVC) | arm.PSRI | arm.PSRF | arm.PSRA
-	v.Ctx.VPIDR = host0.CP15.Regs[arm.SysMIDR]
+	v.Ctx.VPIDR = vm.kvm.Board.CPUs[0].CP15.Regs[arm.SysMIDR]
 	v.Ctx.VMPIDR = 0x8000_0000 | uint32(id)
-	vm.vcpus = append(vm.vcpus, v)
-	vm.VDist.AddVCPU(v)
-	vm.kvm.Trace.RegisterVCPU(vm.VMID, id)
+	vm.VDist.AddVCPU(v, &v.Ctx.VGIC)
 	return v, nil
-}
-
-// VCPUID is the vCPU index within its VM.
-func (v *VCPU) VCPUID() int { return v.ID }
-
-// PhysCPU is the physical CPU currently executing this vCPU (-1 if none).
-func (v *VCPU) PhysCPU() int { return v.phys }
-
-// BlockedWFI reports whether the vCPU thread is parked in WFI.
-func (v *VCPU) BlockedWFI() bool { return v.state == vcpuBlockedWFI }
-
-// ExitStats copies out the per-vCPU entry/exit counters, merging in the
-// host scheduler's accounting for the vCPU's thread (steal time and
-// preemptions — the overcommit fairness measures).
-func (v *VCPU) ExitStats() hv.VCPUStats {
-	st := v.Stats
-	if p := v.proc; p != nil {
-		st.StealTicks = p.RunDelayTicks
-		st.Preemptions = p.Preemptions
-		st.SchedSlices = p.SchedSlices
-	}
-	return st
 }
 
 // SetGuestSoftware installs the guest's kernel-mode software context.
@@ -524,160 +256,31 @@ func (v *VCPU) ExitStats() hv.VCPUStats {
 // the hypervisor-wide decoded-block cache unless the interpreter opts out
 // with SingleStep; other runner types pass through unchanged.
 func (v *VCPU) SetGuestSoftware(h arm.ExcHandler, r arm.Runner) {
-	v.Ctx.PL1Software = h
-	if it, ok := r.(*isa.Interp); ok && !it.SingleStep && v.vm.kvm.Blocks != nil {
+	if it, ok := r.(*isa.Interp); ok && !it.SingleStep {
 		r = &isa.BlockRunner{It: it, Cache: v.vm.kvm.Blocks}
 	}
-	v.Ctx.Runner = r
+	v.VCPUCore.SetGuestSoftware(h, r)
 }
 
-// VM returns the owning VM.
-func (v *VCPU) VM() *VM { return v.vm }
-
-// State reports the vCPU's run state (for tests and the harness).
-func (v *VCPU) State() string {
-	switch v.state {
-	case vcpuNeedEnter:
-		return "ready"
-	case vcpuRunning:
-		return "running"
-	case vcpuBlockedWFI:
-		return "wfi"
-	case vcpuPaused:
-		return "paused"
-	case vcpuShutdown:
-		return "shutdown"
-	}
-	return "?"
-}
-
-// Pause asks the vCPU to stop at its next exit, kicking it out of the
-// guest if it is currently running (§4).
-func (v *VCPU) Pause() {
-	if v.vm.kvm.Fault.Stuck(fault.PtVCPUPark) {
-		// Injected stuck-vCPU fault: the park request is lost and the
-		// vCPU keeps running. The migration park-watchdog must notice.
-		return
-	}
-	v.pauseReq = true
-	if v.phys >= 0 && v.phys != v.vm.kvm.Board.Current {
-		_ = v.vm.kvm.Board.GIC.SendSGI(v.vm.kvm.Board.Current, 1<<uint(v.phys), 2)
-	}
-	if v.state == vcpuNeedEnter || v.state == vcpuBlockedWFI {
-		v.state = vcpuPaused
-	}
-}
-
-// Paused reports whether the vCPU is parked.
-func (v *VCPU) Paused() bool { return v.state == vcpuPaused }
-
-// Resume lets a paused vCPU run again.
-func (v *VCPU) Resume() {
-	v.pauseReq = false
-	if v.state == vcpuPaused {
-		v.state = vcpuNeedEnter
-		v.vm.kvm.Host.Wake(v.vm.kvm.Board.Current, v.wq)
-	}
-}
-
-// Shutdown marks the vCPU (and its thread) as finished.
-func (v *VCPU) Shutdown() { v.state = vcpuShutdown }
-
-// StartThread creates the host process (the "QEMU vCPU thread") that runs
-// this vCPU, pinned to hostCPU (-1 for any). A pin beyond the board's CPU
-// count wraps modulo — overcommit placement may hand out more vCPU
-// threads than physical CPUs and the host scheduler time-slices them.
-func (v *VCPU) StartThread(hostCPU int) (*kernel.Proc, error) {
+// EnterGuest is the backend half of ioctl(KVM_RUN): the user → kernel
+// transition only, no second trap. The contrast with the split-mode
+// backend is the last line — entering the guest is a direct function call
+// into the world switch, not an HVC into a lowvisor (kvm_call_hyp under
+// E2H "is just a function call").
+func (v *VCPU) EnterGuest(c *arm.CPU) {
 	x := v.vm.kvm
-	if n := len(x.Board.CPUs); hostCPU >= n {
-		hostCPU %= n
-	}
-	body := kernel.BodyFunc(func(hk *kernel.Kernel, p *kernel.Proc, c *arm.CPU) bool {
-		return v.runStep(hostCPU, c)
-	})
-	from := hostCPU
-	if from < 0 {
-		from = 0
-	}
-	proc, err := x.Host.NewProcFrom(from, fmt.Sprintf("qemu-vhevcpu%d.%d", v.vm.VMID, v.ID), hostCPU, body)
-	if err != nil {
-		return nil, err
-	}
-	v.proc = proc
-	x.vcpuProcs[proc] = v
-	return proc, nil
-}
-
-// runStep is one iteration of the vCPU thread: the KVM_RUN ioctl. The
-// contrast with the split-mode backend is the last line — entering the
-// guest is a direct function call into the world switch, not an HVC into
-// a lowvisor (kvm_call_hyp under E2H "is just a function call").
-func (v *VCPU) runStep(hostCPU int, c *arm.CPU) bool {
-	x := v.vm.kvm
-	switch v.state {
-	case vcpuShutdown:
-		return true
-	case vcpuPaused:
-		hostIdx := hostCPU
-		if hostIdx < 0 {
-			hostIdx = c.ID
-		}
-		x.Host.Block(hostIdx, v.wq)
-		return false
-	case vcpuBlockedWFI:
-		if v.hasPendingVirq() {
-			v.state = vcpuNeedEnter
-		} else {
-			hostIdx := hostCPU
-			if hostIdx < 0 {
-				hostIdx = c.ID
-			}
-			x.Host.Block(hostIdx, v.wq)
-			return false
-		}
-	case vcpuRunning:
-		return false
-	}
-
-	// ioctl(KVM_RUN): user → kernel transition only; no second trap.
 	prev := c.CPSR
 	c.Charge(c.Cost.TrapToPL1 + x.Host.Cost.SyscallWork/2)
 	c.SetCPSR(uint32(arm.ModeSVC) | (prev &^ arm.PSRModeMask))
 	v.Stats.Entries++
 	x.enterGuest(c, v)
-	return false
-}
-
-// hasPendingVirq reports whether any virtual interrupt awaits this vCPU:
-// in the virtual distributor's software state, or already staged in a
-// (saved) list register.
-func (v *VCPU) hasPendingVirq() bool {
-	if v.vm.VDist.HasPendingFor(v) {
-		return true
-	}
-	for i := range v.Ctx.VGIC.LR {
-		st := v.Ctx.VGIC.LR[i].State
-		if st == gic.LRPending || st == gic.LRPendingActive {
-			return true
-		}
-	}
-	return false
-}
-
-// Wake unblocks a WFI-blocked vCPU (virtual interrupt arrived). May be
-// called from interrupt context on any host CPU.
-func (v *VCPU) Wake(fromHostCPU int) {
-	if v.state == vcpuBlockedWFI {
-		v.state = vcpuNeedEnter
-		v.vm.kvm.Host.Wake(fromHostCPU, v.wq)
-	}
 }
 
 // Interface conformance (compile-time).
 var (
-	_ hv.Hypervisor = (*Hypervisor)(nil)
-	_ hv.VM         = (*VM)(nil)
-	_ hv.VCPU       = (*VCPU)(nil)
-	_ hv.GuestOS    = (*GuestOS)(nil)
-	_ hv.VDistVCPU  = (*VCPU)(nil)
+	_ hv.Hypervisor  = (*Hypervisor)(nil)
+	_ hv.VM          = (*VM)(nil)
+	_ hv.BackendVCPU = (*VCPU)(nil)
+	_ hv.GuestOS     = (*GuestOS)(nil)
+	_ hv.VDistVCPU   = (*VCPU)(nil)
 )

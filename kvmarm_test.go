@@ -5,7 +5,6 @@ import (
 
 	"kvmarm"
 	"kvmarm/internal/arm"
-	"kvmarm/internal/core"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/workloads"
 	"kvmarm/internal/x86"
@@ -96,9 +95,7 @@ func TestGuestIsolation(t *testing.T) {
 	if vm2.ID() == sys.VM.ID() {
 		t.Fatal("VMIDs must differ")
 	}
-	// Stage-2 trees are a backend detail: drop down to the concrete ARM
-	// types for the structural check.
-	if vm2.(*core.VM).S2.Root == sys.VM.(*core.VM).S2.Root {
+	if vm2.GuestMemory().Table.Root == sys.VM.GuestMemory().Table.Root {
 		t.Fatal("Stage-2 trees must differ")
 	}
 	// Write into VM1's memory; VM2's view of the same IPA must differ.

@@ -3,8 +3,9 @@
 # Builds everything, vets everything, runs the full test suite, and then
 # re-runs the concurrency-sensitive packages under the race detector.
 # The neutrality lint (internal/hv) runs as part of `go test ./...` and
-# fails the build if internal/bench or internal/workloads reach past the
-# backend-neutral hv layer into a concrete hypervisor.
+# fails the build if internal/bench, internal/workloads, internal/fleet or
+# internal/net reach past the backend-neutral hv layer into a concrete
+# hypervisor.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -12,28 +13,12 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
+# The package-level -race pass runs every test of these packages — none
+# skips under -race or -short — so the hv suites (25-pair migration matrix,
+# snapshot/fork conformance, migration rollback, overcommit oracles,
+# mid-flight virtio migration, runtime watchdog) and fleet.Supervise need
+# no -run legs of their own.
 go test -race ./internal/isa/ ./internal/trace/ ./internal/mmu/ ./internal/core/ ./internal/vhe/ ./internal/hv/ ./internal/fault/ ./internal/fleet/ ./internal/kernel/ ./internal/dev/ ./internal/net/
-
-# Migration conformance under the race detector: all 25 source→destination
-# backend pairs, mid-workload, compared against an unmigrated run.
-go test -race -run TestBackendMigration -count=1 ./internal/hv/
-
-# Snapshot/fork conformance under the race detector: per backend, a
-# mid-workload capture forked into clones must run to the same final state
-# as an unforked run, with clone writes invisible to siblings; the
-# portable restore path must match across hypervisor instances.
-go test -race -run 'TestSnapshotForkConformance|TestSnapshotRestoreConformance' -count=1 ./internal/hv/
-
-# Migration-rollback suite under the race detector: every fault-injection
-# point on every backend family must end in a binary state (destination
-# exact, or source rolled back and intact), retry recovers transients,
-# and a stuck vCPU aborts cleanly.
-go test -race -run 'TestMigrateFaultMatrix|TestMigrateRollback|TestMigrateWithRetry' -count=1 ./internal/hv/
-
-# Overcommit oracle suite under the race detector: overcommitted fleets,
-# overcommitted SMP migration, stuck-vCPU abort at 4:1 and single-CPU
-# fork conformance must all equal their uncontended sequential runs.
-go test -race -run 'TestOvercommitSequentialOracle|TestBackendMigrationSMPOvercommitted|TestMigrateOvercommittedStuckVCPUAborts|TestSnapshotForkConformanceOvercommitted' -count=1 ./internal/hv/
 
 # Short guest-memory slot fuzz smoke (overlap rejection, bounds, cross-slot
 # access); the long-running variant is manual.
@@ -53,12 +38,6 @@ go test -fuzz FuzzSnapshotFork -fuzztime 5s -run '^$' ./internal/hv/
 # cycles, and memory); the long-running variant is manual.
 go test -fuzz FuzzBlockCache -fuzztime 5s -run '^$' ./internal/isa/
 
-# Mid-flight virtio save/restore suite under the race detector: a request
-# migrated mid-transfer completes on the destination at source-elapsed +
-# destination-remaining cycles, an undrained completion's ISR agrees with
-# the migrated GIC state, and stats survive a migration chain counted once.
-go test -race -run 'TestMigrationVirt|TestMigrationHostWrites' -count=1 ./internal/hv/
-
 # Short switch-frame fuzz smoke (random frame interleavings vs a
 # sequential MAC-learning oracle); the long-running variant is manual.
 go test -fuzz FuzzSwitchFrames -fuzztime 5s -run '^$' ./internal/net/
@@ -75,8 +54,6 @@ go test -fuzz FuzzOvercommitSchedule -fuzztime 5s -run '^$' ./internal/hv/
 # — traffic completes and the server state equals a fault-free twin —
 # or surface typed evidence; never a hang, never silent corruption.
 go test -race -run 'TestChaosMatrix' -count=1 ./internal/bench/
-go test -race -run 'TestRuntimeWatchdog|TestParkWatchParksHealthyGuest' -count=1 ./internal/hv/
-go test -race -run 'TestFleetSupervise' -count=1 ./internal/fleet/
 
 # Short chaos-traffic fuzz smoke (fault point × kind × trigger × seed
 # over the traffic scenario: complete-and-equal-to-twin or typed
