@@ -23,23 +23,7 @@ func TestAblationGolden(t *testing.T) {
 	PrintAblation(&buf, rows, cols)
 	t.Log(buf.String())
 
-	golden := filepath.Join("testdata", "ablation.golden")
-	if *regenGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run: go test ./internal/bench/ -run TestAblationGolden -regen): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("ablation table drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
-	}
+	checkGolden(t, "ablation", buf.Bytes())
 
 	// Beyond byte-stability, the matrix must show each feature paying off
 	// on every backend that has it.
@@ -56,5 +40,30 @@ func TestAblationGolden(t *testing.T) {
 				t.Errorf("%s / %s: feature must reduce cost, got %q", r.Name, c, v)
 			}
 		}
+	}
+}
+
+// checkGolden requires an experiment's rendered output to match
+// testdata/<name>.golden byte for byte (or rewrites the file under
+// -regen): the simulation has no nondeterminism, so any drift is a real
+// cost-model change.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name+".golden")
+	if *regenGolden {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run: go test ./internal/bench/ -run %s -regen): %v", t.Name(), err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }
