@@ -12,7 +12,6 @@ import (
 	"kvmarm"
 	"kvmarm/internal/bench"
 	"kvmarm/internal/workloads"
-	"kvmarm/internal/x86"
 )
 
 // BenchmarkTable3Micro regenerates the full micro-architectural cycle
@@ -84,9 +83,8 @@ func BenchmarkFigure7Energy(b *testing.B) { benchFigure(b, bench.Figure7) }
 
 func benchOverhead(b *testing.B, w workloads.Workload, cpus int) {
 	b.Helper()
-	cfg := bench.Configs()[0] // ARM with VGIC/vtimers
 	for i := 0; i < b.N; i++ {
-		ov, err := bench.Overhead(cfg, w, cpus)
+		ov, err := bench.Overhead("ARM", w, cpus)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +106,7 @@ func BenchmarkARMApacheSMP(b *testing.B) { benchOverhead(b, workloads.Apache(), 
 // kernel, KVM init, VM creation and an unmodified guest kernel boot.
 func BenchmarkGuestBoot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sys, err := kvmarm.NewARMVirt(2, kvmarm.VirtOptions{VGIC: true, VTimers: true})
+		sys, err := kvmarm.NewVirt("ARM", 2, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +119,7 @@ func BenchmarkGuestBoot(b *testing.B) {
 // BenchmarkX86GuestBoot is the comparator stack's boot.
 func BenchmarkX86GuestBoot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := kvmarm.NewX86Virt(2, x86.Laptop(), nil); err != nil {
+		if _, err := kvmarm.NewVirt("KVM x86 laptop", 2, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -132,7 +130,7 @@ func BenchmarkX86GuestBoot(b *testing.B) {
 // ablation).
 func BenchmarkLazyVGICAblation(b *testing.B) {
 	measure := func(lazy bool) float64 {
-		sys, err := kvmarm.NewARMVirt(2, kvmarm.VirtOptions{VGIC: true, VTimers: true, LazyVGIC: lazy})
+		sys, err := kvmarm.NewVirtWith("ARM", 2, kvmarm.VirtOptions{LazyVGIC: lazy})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,10 @@
-// Command kvmarm-run boots a VM under KVM/ARM, runs a small guest workload
-// that writes to the virtual console, and prints the console output along
-// with hypervisor statistics — a end-to-end demonstration of the stack.
+// Command kvmarm-run boots a VM under a registered backend (KVM/ARM by
+// default), runs a small guest workload that writes to the virtual
+// console, and prints the console output along with hypervisor statistics
+// — an end-to-end demonstration of the stack:
+//
+//	kvmarm-run
+//	kvmarm-run -backend arm-novgic
 //
 // With -migrate-to, it instead live-migrates a running guest between two
 // hypervisor instances (any same-family pair of registered backends, e.g.
@@ -25,8 +29,7 @@ import (
 
 func main() {
 	cpus := flag.Int("cpus", 2, "number of vCPUs")
-	vgic := flag.Bool("vgic", true, "VGIC + virtual timer hardware support")
-	backend := flag.String("backend", "ARM", "source backend (with -migrate-to)")
+	backend := flag.String("backend", "ARM", "backend to boot (the migration source with -migrate-to)")
 	migrateTo := flag.String("migrate-to", "", "live-migrate a running guest to this backend and exit")
 	flag.Parse()
 
@@ -38,12 +41,12 @@ func main() {
 		return
 	}
 
-	sys, err := kvmarm.NewARMVirt(*cpus, kvmarm.VirtOptions{VGIC: *vgic, VTimers: *vgic})
+	sys, err := kvmarm.NewVirt(*backend, *cpus, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kvmarm-run:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("guest kernel booted on %d vCPU(s); vgic=%v\n", *cpus, *vgic)
+	fmt.Printf("guest kernel booted on %d vCPU(s) under %s\n", *cpus, sys.System.Name)
 
 	msgs := 0
 	done := false

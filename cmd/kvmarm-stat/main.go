@@ -23,7 +23,6 @@ import (
 
 	"kvmarm"
 	"kvmarm/internal/bench"
-	"kvmarm/internal/hv"
 	"kvmarm/internal/trace"
 	"kvmarm/internal/workloads"
 )
@@ -97,9 +96,9 @@ func main() {
 	}
 
 	// The cross-check mapping between trace classes and the hypervisor's
-	// ad-hoc counters holds for the full-hardware configurations; without
-	// VGIC/vtimers the sysreg-emulation paths blur the MMIO-user split.
-	if b, ok := hv.Lookup(be); ok && b.Name != "ARM no VGIC/vtimers" {
+	// ad-hoc counters holds wherever the hardware has virtual timers;
+	// without them the sysreg-emulation paths blur the MMIO-user split.
+	if vsys.Board.Cfg.HasVirtTimer {
 		if !bench.PrintCrossCheck(os.Stdout, bench.CrossCheckRows(vsys, tr)) {
 			fail(fmt.Errorf("trace counts disagree with hypervisor counters"))
 		}

@@ -35,7 +35,7 @@ func guestProgram() []uint32 {
 }
 
 func bootISAGuest(label string) (*kvmarm.GuestSystem, error) {
-	sys, err := kvmarm.NewARMVirt(1, kvmarm.VirtOptions{VGIC: true, VTimers: true})
+	sys, err := kvmarm.NewVirt("ARM", 1, nil)
 	if err != nil {
 		return nil, err
 	}

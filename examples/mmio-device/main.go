@@ -35,7 +35,7 @@ func (d *counterDev) Write(v hv.VCPU, off uint64, size int, val uint64) {
 const devBase = 0x1D00_0000
 
 func main() {
-	sys, err := kvmarm.NewARMVirt(1, kvmarm.VirtOptions{VGIC: true, VTimers: true})
+	sys, err := kvmarm.NewVirt("ARM", 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

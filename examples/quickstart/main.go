@@ -20,7 +20,7 @@ func main() {
 	// the Hyp stub), a VM with Stage-2 tables and a virtual
 	// distributor, and the guest minOS — the same kernel package as the
 	// host, booted in SVC so it picks the virtual timer.
-	sys, err := kvmarm.NewARMVirt(2, kvmarm.VirtOptions{VGIC: true, VTimers: true})
+	sys, err := kvmarm.NewVirt("ARM", 2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

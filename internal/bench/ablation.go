@@ -26,31 +26,24 @@ type AblationRow struct {
 	Values map[string]string
 }
 
-// AblationConfigs lists the ARM backends the ablations run on, in
-// registration order. The x86 comparators have none of this hardware.
-func AblationConfigs() []string {
-	var out []string
-	for _, b := range hv.Backends() {
-		if b.IsARM {
-			out = append(out, b.Name)
-		}
-	}
-	return out
-}
-
 // AblationTable measures the three feature ablations on every ARM
-// backend. Backends without a VGIC get "n/a" cells — all three features
-// extend the VGIC.
+// backend, in registration order (the x86 comparators have none of this
+// hardware). Backends without a VGIC get "n/a" cells — all three
+// features extend the VGIC.
 func AblationTable() ([]AblationRow, []string, error) {
-	cols := AblationConfigs()
+	var cols []string
 	rows := []AblationRow{
 		{Name: "summary register (hypercall)", Values: map[string]string{}},
 		{Name: "direct virtual IPIs (IPI)", Values: map[string]string{}},
 		{Name: "lazy VGIC switch (hypercall)", Values: map[string]string{}},
 	}
-	vgicOpt := kvmarm.VirtOptions{VGIC: true, VTimers: true}
-	for _, cfg := range cols {
-		if cfg == "ARM no VGIC/vtimers" {
+	for _, be := range hv.Backends() {
+		if !be.IsARM() {
+			continue
+		}
+		cfg := be.Name
+		cols = append(cols, cfg)
+		if !be.Board.HasVGIC {
 			for _, r := range rows {
 				r.Values[cfg] = "n/a"
 			}
@@ -67,17 +60,17 @@ func AblationTable() ([]AblationRow, []string, error) {
 			}
 			return hypercallCycles(sys)
 		}
-		base, err := hvcWith(vgicOpt)
+		base, err := hvcWith(kvmarm.VirtOptions{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s base: %w", cfg, err)
 		}
-		sum, err := hvcWith(kvmarm.VirtOptions{VGIC: true, VTimers: true, SummaryReg: true})
+		sum, err := hvcWith(kvmarm.VirtOptions{SummaryReg: true})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s summary: %w", cfg, err)
 		}
 		rows[0].Values[cfg] = cell(base, sum)
 
-		lazy, err := hvcWith(kvmarm.VirtOptions{VGIC: true, VTimers: true, LazyVGIC: true})
+		lazy, err := hvcWith(kvmarm.VirtOptions{LazyVGIC: true})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s lazy: %w", cfg, err)
 		}
@@ -90,11 +83,11 @@ func AblationTable() ([]AblationRow, []string, error) {
 			}
 			return ipiRoundTrip(sys.System)
 		}
-		ipiBase, err := ipiWith(vgicOpt)
+		ipiBase, err := ipiWith(kvmarm.VirtOptions{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s ipi base: %w", cfg, err)
 		}
-		ipiDirect, err := ipiWith(kvmarm.VirtOptions{VGIC: true, VTimers: true, DirectVIPI: true})
+		ipiDirect, err := ipiWith(kvmarm.VirtOptions{DirectVIPI: true})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s ipi direct: %w", cfg, err)
 		}

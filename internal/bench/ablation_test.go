@@ -22,8 +22,8 @@ import (
 // off: with a summary register, an idle-VGIC world switch reads 3 MMIO
 // registers instead of 20, cutting the hypercall cost roughly in half.
 func TestAblationSummaryRegister(t *testing.T) {
-	base := measureHypercallMicro(t, kvmarm.VirtOptions{VGIC: true, VTimers: true})
-	summary := measureHypercallMicro(t, kvmarm.VirtOptions{VGIC: true, VTimers: true, SummaryReg: true})
+	base := measureHypercallMicro(t, kvmarm.VirtOptions{})
+	summary := measureHypercallMicro(t, kvmarm.VirtOptions{SummaryReg: true})
 	fmt.Printf("hypercall: stock VGIC=%d cycles, with summary register=%d cycles (%.1f%% saved)\n",
 		base, summary, 100*(1-float64(summary)/float64(base)))
 	if summary >= base {
@@ -38,7 +38,7 @@ func TestAblationSummaryRegister(t *testing.T) {
 // loop in a raw guest.
 func measureHypercallMicro(t *testing.T, opt kvmarm.VirtOptions) uint64 {
 	t.Helper()
-	sys, err := kvmarm.NewARMVirt(1, opt)
+	sys, err := kvmarm.NewVirtWith("ARM", 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func measureHypercallMicro(t *testing.T, opt kvmarm.VirtOptions) uint64 {
 // emulation and kick.
 func TestAblationDirectVIPI(t *testing.T) {
 	measure := func(direct bool) uint64 {
-		sys, err := kvmarm.NewARMVirt(2, kvmarm.VirtOptions{VGIC: true, VTimers: true, DirectVIPI: direct})
+		sys, err := kvmarm.NewVirtWith("ARM", 2, kvmarm.VirtOptions{DirectVIPI: direct})
 		if err != nil {
 			t.Fatal(err)
 		}

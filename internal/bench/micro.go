@@ -12,7 +12,6 @@ import (
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
 	"kvmarm/internal/workloads"
-	"kvmarm/internal/x86"
 )
 
 // MicroRow is one row of Table 3.
@@ -59,13 +58,6 @@ func Table3() ([]MicroRow, error) {
 		rows[4].Values[cfg] = ipi
 	}
 	return rows, nil
-}
-
-func profileFor(cfg string) x86.Profile {
-	if cfg == "x86 server" {
-		return x86.Server()
-	}
-	return x86.Laptop()
 }
 
 // kernelEchoDev is a trivial in-kernel emulated device (vhost-style) for
@@ -184,14 +176,14 @@ func measureMicro(cfg string) (hypercall, ioKernel, ioUser, eoiAck uint64, err e
 	// x86 there is no acknowledge read at all — the vector arrives by
 	// IDT vectoring — and the EOI write exits to root mode; the cost is
 	// exactly what the EOI exit path charges.
-	if be.IsARM {
+	if be.IsARM() {
 		eoiAck, err = perOp(func(a *isa.Asm) {
 			a.MOV32(isa.R1, machine.GICCPUBase)
 			a.LDR(isa.R0, isa.R1, uint16(gic.GICCIar))
 			a.STR(isa.R0, isa.R1, uint16(gic.GICCEoir))
 		}, nil)
 	} else {
-		p := profileFor(cfg)
+		p := be.X86
 		eoiAck = 30 /* IDT vectoring */ + p.VMExit + p.APICDecode + p.APICEmulate + p.VMEntry
 	}
 	return

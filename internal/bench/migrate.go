@@ -158,7 +158,7 @@ func MigrationRows() ([]MigrationRow, error) {
 	var rows []MigrationRow
 	for _, src := range hv.Backends() {
 		for _, dst := range hv.Backends() {
-			if src.IsARM != dst.IsARM {
+			if src.IsARM() != dst.IsARM() {
 				continue
 			}
 			pre, err := measureMigration(src, dst, true)

@@ -11,137 +11,39 @@ import (
 
 	"kvmarm"
 	"kvmarm/internal/workloads"
-	"kvmarm/internal/x86"
 )
 
-// Config names one platform configuration of §5.1.
-type Config struct {
-	Name string
-	// Virt builds the virtualized system; Native its baseline.
-	Virt   func(cpus int) (*workloads.System, error)
-	Native func(cpus int) (*workloads.System, error)
-	// EnergyARM marks which power model applies (Figure 7).
-	IsARM bool
-}
-
-// Configs returns the virtualized configurations compared throughout
-// the evaluation, in the paper's legend order — ARM, ARM w/o VGIC/vtimers,
+// Configs names the virtualized configurations compared throughout the
+// evaluation, in the paper's legend order — ARM, ARM w/o VGIC/vtimers,
 // x86 laptop, x86 server — plus the ARMv8.1 VHE configuration (§7's
 // "running Linux in Hyp mode" outlook) next to its split-mode sibling.
-func Configs() []Config {
-	return []Config{
-		{
-			Name:  "ARM",
-			IsARM: true,
-			Virt: func(cpus int) (*workloads.System, error) {
-				s, err := kvmarm.NewARMVirt(cpus, kvmarm.VirtOptions{VGIC: true, VTimers: true})
-				if err != nil {
-					return nil, err
-				}
-				return s.System, nil
-			},
-			Native: func(cpus int) (*workloads.System, error) {
-				s, err := kvmarm.NewARMNative(cpus)
-				if err != nil {
-					return nil, err
-				}
-				return s.System, nil
-			},
-		},
-		{
-			Name:  "ARM VHE",
-			IsARM: true,
-			Virt: func(cpus int) (*workloads.System, error) {
-				s, err := kvmarm.NewVHEVirt(cpus, kvmarm.VirtOptions{VGIC: true, VTimers: true, LazyVGIC: true})
-				if err != nil {
-					return nil, err
-				}
-				return s.System, nil
-			},
-			Native: func(cpus int) (*workloads.System, error) {
-				s, err := kvmarm.NewARMNative(cpus)
-				if err != nil {
-					return nil, err
-				}
-				return s.System, nil
-			},
-		},
-		{
-			Name:  "ARM no VGIC/vtimers",
-			IsARM: true,
-			Virt: func(cpus int) (*workloads.System, error) {
-				s, err := kvmarm.NewARMVirt(cpus, kvmarm.VirtOptions{})
-				if err != nil {
-					return nil, err
-				}
-				return s.System, nil
-			},
-			Native: func(cpus int) (*workloads.System, error) {
-				s, err := kvmarm.NewARMNative(cpus)
-				if err != nil {
-					return nil, err
-				}
-				return s.System, nil
-			},
-		},
-		{
-			Name: "KVM x86 laptop",
-			Virt: func(cpus int) (*workloads.System, error) {
-				s, err := kvmarm.NewX86Virt(cpus, x86.Laptop(), nil)
-				if err != nil {
-					return nil, err
-				}
-				return s.System, nil
-			},
-			Native: func(cpus int) (*workloads.System, error) {
-				s, err := kvmarm.NewX86Native(cpus, x86.Laptop())
-				if err != nil {
-					return nil, err
-				}
-				return s.System, nil
-			},
-		},
-		{
-			Name: "KVM x86 server",
-			Virt: func(cpus int) (*workloads.System, error) {
-				s, err := kvmarm.NewX86Virt(cpus, x86.Server(), nil)
-				if err != nil {
-					return nil, err
-				}
-				return s.System, nil
-			},
-			Native: func(cpus int) (*workloads.System, error) {
-				s, err := kvmarm.NewX86Native(cpus, x86.Server())
-				if err != nil {
-					return nil, err
-				}
-				return s.System, nil
-			},
-		},
-	}
+// Each is a row of the platform table, looked up by name.
+func Configs() []string {
+	return []string{"ARM", "ARM VHE", "ARM no VGIC/vtimers", "KVM x86 laptop", "KVM x86 server"}
 }
 
 // Overhead runs w on a fresh virtualized system and a fresh native
-// baseline of cfg and returns the normalized (virt/native) runtime.
-func Overhead(cfg Config, w workloads.Workload, cpus int) (float64, error) {
-	nat, err := cfg.Native(cpus)
+// baseline of the named configuration and returns the normalized
+// (virt/native) runtime.
+func Overhead(cfg string, w workloads.Workload, cpus int) (float64, error) {
+	nat, err := kvmarm.NewNative(cfg, cpus)
 	if err != nil {
-		return 0, fmt.Errorf("%s native: %w", cfg.Name, err)
+		return 0, fmt.Errorf("%s native: %w", cfg, err)
 	}
-	nres, err := workloads.Run(nat, w)
+	nres, err := workloads.Run(nat.System, w)
 	if err != nil {
-		return 0, fmt.Errorf("%s native %s: %w", cfg.Name, w.Name, err)
+		return 0, fmt.Errorf("%s native %s: %w", cfg, w.Name, err)
 	}
-	virt, err := cfg.Virt(cpus)
+	virt, err := kvmarm.NewVirt(cfg, cpus, nil)
 	if err != nil {
-		return 0, fmt.Errorf("%s virt: %w", cfg.Name, err)
+		return 0, fmt.Errorf("%s virt: %w", cfg, err)
 	}
-	vres, err := workloads.Run(virt, w)
+	vres, err := workloads.Run(virt.System, w)
 	if err != nil {
-		return 0, fmt.Errorf("%s virt %s: %w", cfg.Name, w.Name, err)
+		return 0, fmt.Errorf("%s virt %s: %w", cfg, w.Name, err)
 	}
 	if nres.Cycles == 0 {
-		return 0, fmt.Errorf("%s native %s: zero-length run", cfg.Name, w.Name)
+		return 0, fmt.Errorf("%s native %s: zero-length run", cfg, w.Name)
 	}
 	return float64(vres.Cycles) / float64(nres.Cycles), nil
 }

@@ -207,7 +207,7 @@ func TestBackendMigration(t *testing.T) {
 						v.SetGuestSoftware(nil, &isa.Interp{})
 					},
 				})
-				if srcBE.IsARM != dstBE.IsARM {
+				if srcBE.IsARM() != dstBE.IsARM() {
 					if err == nil {
 						t.Fatal("cross-family migration must fail")
 					}

@@ -1,7 +1,9 @@
 // Backend neutrality lint: the generic layers above the backend kit —
-// internal/bench, internal/workloads, internal/fleet and internal/net —
-// must drive hypervisors solely through internal/hv. A direct import of a
-// concrete backend is a layering regression.
+// internal/bench, internal/workloads, internal/fleet, internal/net, the
+// commands, the examples and the benchmark — must drive hypervisors
+// solely through internal/hv and pick configurations by name. A direct
+// import of a concrete backend, or of an x86 cost profile (a platform
+// table row's data), is a layering regression.
 package hv_test
 
 import (
@@ -18,10 +20,19 @@ var forbidden = []string{
 	"kvmarm/internal/core",
 	"kvmarm/internal/kvmx86",
 	"kvmarm/internal/vhe",
+	"kvmarm/internal/x86",
 }
 
 func TestConsumersAreBackendNeutral(t *testing.T) {
-	for _, dir := range []string{"../bench", "../workloads", "../fleet", "../net"} {
+	var dirs []string
+	for _, pat := range []string{"../bench", "../workloads", "../fleet", "../net", "../../cmd/*", "../../examples/*", "../../benchmark"} {
+		m, err := filepath.Glob(pat)
+		if err != nil || len(m) == 0 {
+			t.Fatalf("%s: no directory (%v)", pat, err)
+		}
+		dirs = append(dirs, m...)
+	}
+	for _, dir := range dirs {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)

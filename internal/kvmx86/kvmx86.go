@@ -24,25 +24,6 @@ import (
 	"kvmarm/internal/x86"
 )
 
-// NewBoard builds a board configured like the paper's x86 platforms: no
-// VGIC (no virtual APIC), hardware timer readable without exits but
-// trapping on programming, and cost constants from the profile.
-func NewBoard(cpus int, p x86.Profile) (*machine.Board, error) {
-	cfg := machine.Config{CPUs: cpus, RAMBytes: 256 << 20, HasVGIC: false, HasVirtTimer: true}
-	b, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range b.CPUs {
-		c.Feat.TimerWriteTraps = true
-		// Root-mode transitions save the whole VMCS in hardware.
-		c.Cost.TrapToHyp = p.VMExit
-		c.Cost.TrapToPL1 = p.TrapToKernel
-		c.Cost.ERET = 20
-	}
-	return b, nil
-}
-
 // Stats instruments the hypervisor.
 type Stats struct {
 	VMExits    uint64

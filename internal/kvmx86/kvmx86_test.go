@@ -12,11 +12,12 @@ import (
 func x86Env(t *testing.T, cpus int) (*machine.Board, *kernel.Kernel, *Hypervisor) {
 	t.Helper()
 	p := x86.Laptop()
-	b, err := NewBoard(cpus, p)
+	b, err := machine.New(machine.Config{CPUs: cpus, HasVirtTimer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range b.CPUs {
+		p.Apply(c)
 		c.Secure = false
 		// x86: no Hyp-mode boot dance; the kernel owns root mode.
 		c.SetCPSR(uint32(arm.ModeHYP) | arm.PSRI | arm.PSRF)

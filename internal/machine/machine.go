@@ -66,7 +66,7 @@ type Config struct {
 // DefaultConfig is the Arndale-like dual-core board with full
 // virtualization support.
 func DefaultConfig() Config {
-	return Config{CPUs: 2, RAMBytes: 256 << 20, HasVGIC: true, HasVirtTimer: true}
+	return Config{CPUs: 2, HasVGIC: true, HasVirtTimer: true}
 }
 
 type event struct {

@@ -14,7 +14,7 @@ import (
 
 func bootVHE(t *testing.T, cpus int, opt kvmarm.VirtOptions) *kvmarm.GuestSystem {
 	t.Helper()
-	sys, err := kvmarm.NewVHEVirt(cpus, opt)
+	sys, err := kvmarm.NewVirtWith("ARM VHE", cpus, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func bootVHE(t *testing.T, cpus int, opt kvmarm.VirtOptions) *kvmarm.GuestSystem
 // call, so an entire guest lifetime completes without a single host HVC —
 // on split-mode ARM every world switch takes one.
 func TestHostPathIsHVCFree(t *testing.T) {
-	sys := bootVHE(t, 2, kvmarm.VirtOptions{VGIC: true, VTimers: true, LazyVGIC: true})
+	sys := bootVHE(t, 2, kvmarm.VirtOptions{LazyVGIC: true})
 	if _, err := workloads.Run(sys.System, workloads.LatSyscall()); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestHostPathIsHVCFree(t *testing.T) {
 // restore entirely; with it off, nothing is ever skipped.
 func TestLazyVGICSkipsIdleSwitches(t *testing.T) {
 	run := func(lazy bool) map[string]uint64 {
-		sys := bootVHE(t, 1, kvmarm.VirtOptions{VGIC: true, VTimers: true, LazyVGIC: lazy})
+		sys := bootVHE(t, 1, kvmarm.VirtOptions{LazyVGIC: lazy})
 		if _, err := workloads.Run(sys.System, workloads.LatSyscall()); err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestLazyVGICSkipsIdleSwitches(t *testing.T) {
 // tests: two identical VHE runs must agree counter for counter.
 func TestDeterministicRun(t *testing.T) {
 	run := func() map[string]uint64 {
-		sys := bootVHE(t, 2, kvmarm.VirtOptions{VGIC: true, VTimers: true, LazyVGIC: true})
+		sys := bootVHE(t, 2, kvmarm.VirtOptions{LazyVGIC: true})
 		if _, err := workloads.Run(sys.System, workloads.LatPipe()); err != nil {
 			t.Fatal(err)
 		}

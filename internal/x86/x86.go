@@ -21,8 +21,11 @@
 //   - EPT gives the same two-dimensional page walks as ARM Stage-2.
 //
 // The package provides calibrated cost profiles for the paper's two x86
-// platforms; internal/kvmx86 applies them to the shared machine model.
+// platforms; Apply puts one on a CPU of the shared machine model, and
+// internal/kvmx86 charges the rest.
 package x86
+
+import "kvmarm/internal/arm"
 
 // Profile is the cost/behaviour profile of one x86 platform.
 type Profile struct {
@@ -105,4 +108,14 @@ func Server() Profile {
 		TimerEmulate:  280,
 		IOKernelWork:  1350,
 	}
+}
+
+// Apply gives one CPU of the shared machine model this platform's trap
+// costs: root-mode transitions save the whole VMCS in hardware, and
+// programming the guest timer exits to root mode.
+func (p *Profile) Apply(c *arm.CPU) {
+	c.Feat.TimerWriteTraps = true
+	c.Cost.TrapToHyp = p.VMExit
+	c.Cost.TrapToPL1 = p.TrapToKernel
+	c.Cost.ERET = 20
 }

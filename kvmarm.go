@@ -6,17 +6,24 @@
 // virtualization extensions — CPU privilege modes including Hyp mode, a
 // two-stage MMU, a GICv2 interrupt controller with the VGIC, and the
 // generic timers — plus minOS, a miniature Linux stand-in that boots both
-// natively and (unmodified) inside VMs, and KVM/ARM itself: the paper's
-// split-mode hypervisor with its Hyp-mode lowvisor and kernel-mode
-// highvisor. An Intel VT-x-style comparator (internal/kvmx86) provides the
-// paper's x86 baseline. Both backends implement the backend-neutral
-// interfaces of internal/hv; this package registers them with the hv
-// registry, so harness code selects platforms by name and never touches a
+// natively and (unmodified) inside VMs, and three hypervisor backend
+// families: KVM/ARM itself (internal/core, the paper's split-mode design
+// with its Hyp-mode lowvisor and kernel-mode highvisor), its ARMv8.1 VHE
+// successor (internal/vhe), and an Intel VT-x-style comparator
+// (internal/kvmx86) for the paper's x86 baseline. All of them implement
+// the backend-neutral interfaces of internal/hv.
+//
+// This package holds the platform table: each configuration the
+// evaluation measures is one hv.Backend row — its hardware, x86 cost
+// profile, lazy-VGIC default, boot budget and family bring-up hook —
+// registered with the hv registry. Everything else (boards, hosts,
+// measurement environments, the constructors below) is derived from the
+// row, so harness code selects platforms by name and never touches a
 // concrete backend type.
 //
 // # Quick start
 //
-//	sys, err := kvmarm.NewARMNative(2)        // bare-metal minOS
+//	sys, err := kvmarm.NewNative("ARM", 2)     // bare-metal minOS
 //	vsys, err := kvmarm.NewVirt("ARM", 2, nil) // minOS in a VM under KVM/ARM
 //	res, err := workloads.Run(vsys.System, workloads.Apache())
 //
@@ -25,9 +32,9 @@
 package kvmarm
 
 import (
+	"errors"
 	"fmt"
 
-	"kvmarm/internal/arm"
 	"kvmarm/internal/core"
 	"kvmarm/internal/hv"
 	"kvmarm/internal/kernel"
@@ -39,18 +46,16 @@ import (
 	"kvmarm/internal/x86"
 )
 
-// NativeSystem is a bare-metal minOS on a simulated board.
+// NativeSystem is a bare-metal minOS on a configuration's board.
 type NativeSystem struct {
 	System *workloads.System
 	Board  *machine.Board
 	Host   *kernel.Kernel
 }
 
-// VirtOptions selects the ARM virtualization hardware variant (the paper's
-// "ARM" vs "ARM no VGIC/vtimers" configurations).
+// VirtOptions tunes a guest beyond its configuration's hardware, which
+// follows the backend name.
 type VirtOptions struct {
-	VGIC    bool
-	VTimers bool
 	// LazyVGIC enables the list-register switch optimisation of §3.5;
 	// the paper's "initial unoptimized version" leaves it off.
 	LazyVGIC bool
@@ -65,6 +70,10 @@ type VirtOptions struct {
 	Tracer *trace.Tracer
 }
 
+// ErrNoVGIC rejects a VirtOptions flag that extends a VGIC the named
+// configuration's hardware does not have.
+var ErrNoVGIC = errors.New("kvmarm: the configuration has no VGIC")
+
 // GuestSystem is a VM running minOS under one of the registered
 // hypervisor backends, held entirely through the internal/hv interfaces.
 // The same type serves the ARM and x86 stacks; use the hv accessors
@@ -78,7 +87,7 @@ type GuestSystem struct {
 	Guest  hv.GuestOS
 }
 
-// hostHW is the board's hardware map as the host kernel sees it.
+// hostHW is the board's full hardware map as a workload host sees it.
 func hostHW() kernel.HWConfig {
 	return kernel.HWConfig{
 		GICDistBase: machine.GICDistBase,
@@ -93,364 +102,128 @@ func hostHW() kernel.HWConfig {
 	}
 }
 
-// bootHost builds a board and boots a host minOS on it. The simulated
-// bootloader follows the paper's recommendation: non-secure, kernel
-// entered in Hyp mode.
-func bootHost(cfg machine.Config, name string) (*machine.Board, *kernel.Kernel, error) {
-	b, err := machine.New(cfg)
-	if err != nil {
-		return nil, nil, err
+func lookup(name string) (*hv.Backend, error) {
+	be, ok := hv.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("kvmarm: unknown backend %q", name)
 	}
-	for _, c := range b.CPUs {
-		c.Secure = false
-		c.SetCPSR(uint32(arm.ModeHYP) | arm.PSRI | arm.PSRF)
-	}
-	host := kernel.New(kernel.Config{
-		Name:      name,
-		NumCPUs:   cfg.CPUs,
-		CPU:       func(i int) *arm.CPU { return b.CPUs[i] },
-		HW:        hostHW(),
-		Mem:       b.RAM,
-		DirectGIC: b.GIC,
-		AllocBase: machine.RAMBase + (64 << 20),
-		AllocSize: cfg.RAMBytes - (96 << 20),
-	})
-	if err := host.BootAll(); err != nil {
-		return nil, nil, err
-	}
-	return b, host, nil
+	return be, nil
 }
 
-// NewARMNative boots minOS bare-metal on an Arndale-like board.
-func NewARMNative(cpus int) (*NativeSystem, error) {
-	cfg := machine.DefaultConfig()
-	cfg.CPUs = cpus
-	b, host, err := bootHost(cfg, "arm-native")
+// NewNative boots minOS bare-metal on the board of the configuration
+// registered as name — the baseline its virtualized runs are normalized
+// against.
+func NewNative(name string, cpus int) (*NativeSystem, error) {
+	be, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	b, host, err := be.BootHost(cpus, hostHW())
 	if err != nil {
 		return nil, err
 	}
 	return &NativeSystem{
-		Board: b,
-		Host:  host,
-		System: &workloads.System{
-			Name:  "arm-native",
-			Board: b,
-			K:     host,
-			Spawn: host.NewProc,
-			SMP:   cpus,
-		},
+		Board: b, Host: host,
+		System: &workloads.System{Name: be.Name + " native", Board: b, K: host, Spawn: host.NewProc, SMP: cpus},
 	}, nil
 }
 
-// finishVirt wraps a booted guest into a GuestSystem.
-func finishVirt(name string, cpus int, env *hv.Env, vm hv.VM, guest hv.GuestOS) *GuestSystem {
+// NewVirt boots a guest under the backend registered as name (canonical
+// name or alias, e.g. "ARM", "arm-novgic", "x86 laptop") with the
+// configuration's defaults. This is the backend-neutral entry point the
+// harness layers use.
+func NewVirt(name string, cpus int, tr *trace.Tracer) (*GuestSystem, error) {
+	be, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return NewVirtWith(name, cpus, VirtOptions{LazyVGIC: be.LazyVGIC, Tracer: tr})
+}
+
+// NewVirtWith boots a guest under the named backend with explicit
+// VirtOptions, taken literally — the entry point for the per-backend §6
+// ablation matrix. The lazy switch and the §6 hardware all extend the
+// VGIC, so a configuration without one rejects them with ErrNoVGIC.
+func NewVirtWith(name string, cpus int, opt VirtOptions) (*GuestSystem, error) {
+	be, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if !be.Board.HasVGIC && (opt.LazyVGIC || opt.SummaryReg || opt.DirectVIPI) {
+		return nil, fmt.Errorf("%w: %q takes no LazyVGIC, SummaryReg or DirectVIPI", ErrNoVGIC, be.Name)
+	}
+	if opt.MemBytes == 0 {
+		opt.MemBytes = 96 << 20
+	}
+	row := *be
+	row.Board.HasSummaryReg = opt.SummaryReg
+	row.Board.HasDirectVIPI = opt.DirectVIPI
+	env, err := row.Up(cpus, hostHW(), opt.LazyVGIC)
+	if err != nil {
+		return nil, err
+	}
+	vm, guest, err := hv.BootGuest(env, cpus, opt.MemBytes, be.BootBudget, opt.Tracer)
+	if err != nil {
+		return nil, err
+	}
 	return &GuestSystem{
 		Board: env.Board, Host: env.Host, HV: env.HV, VM: vm, Guest: guest,
 		System: &workloads.System{
-			Name:        name,
+			Name:        be.Name,
 			Board:       env.Board,
 			K:           guest.Kernel(),
 			Spawn:       guest.Spawn,
 			Virtualized: true,
 			SMP:         cpus,
 		},
-	}
-}
-
-// NewARMVirt boots a VM running minOS under KVM/ARM and waits for the
-// guest kernel to come up.
-func NewARMVirt(cpus int, opt VirtOptions) (*GuestSystem, error) {
-	if opt.MemBytes == 0 {
-		opt.MemBytes = 96 << 20
-	}
-	cfg := machine.DefaultConfig()
-	cfg.CPUs = cpus
-	cfg.HasVGIC = opt.VGIC
-	cfg.HasVirtTimer = opt.VTimers
-	cfg.HasSummaryReg = opt.SummaryReg
-	cfg.HasDirectVIPI = opt.DirectVIPI
-	name := "arm-kvm"
-	if !opt.VGIC || !opt.VTimers {
-		name = "arm-kvm-novgic"
-	}
-	b, host, err := bootHost(cfg, name+"-host")
-	if err != nil {
-		return nil, err
-	}
-	kvm, err := core.Init(b, host)
-	if err != nil {
-		return nil, err
-	}
-	kvm.LazyVGIC = opt.LazyVGIC
-	env := &hv.Env{Board: b, Host: host, HV: kvm}
-	vm, guest, err := hv.BootGuest(env, cpus, opt.MemBytes, 200_000_000, opt.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	return finishVirt(name, cpus, env, vm, guest), nil
-}
-
-// NewVHEVirt boots a VM running minOS under the ARMv8.1 VHE backend and
-// waits for the guest kernel to come up. VHE hardware always has a VGIC
-// and virtual timers; the §6 ablation flags still apply.
-func NewVHEVirt(cpus int, opt VirtOptions) (*GuestSystem, error) {
-	if opt.MemBytes == 0 {
-		opt.MemBytes = 96 << 20
-	}
-	cfg := machine.DefaultConfig()
-	cfg.CPUs = cpus
-	cfg.HasVGIC = true
-	cfg.HasVirtTimer = true
-	cfg.HasSummaryReg = opt.SummaryReg
-	cfg.HasDirectVIPI = opt.DirectVIPI
-	b, host, err := bootHost(cfg, "arm-vhe-host")
-	if err != nil {
-		return nil, err
-	}
-	kvm, err := vhe.Init(b, host)
-	if err != nil {
-		return nil, err
-	}
-	kvm.LazyVGIC = opt.LazyVGIC
-	env := &hv.Env{Board: b, Host: host, HV: kvm}
-	vm, guest, err := hv.BootGuest(env, cpus, opt.MemBytes, 200_000_000, opt.Tracer)
-	if err != nil {
-		return nil, err
-	}
-	return finishVirt("arm-vhe", cpus, env, vm, guest), nil
-}
-
-// X86System is the VT-x comparator's bare-metal platform.
-type X86System struct {
-	System *workloads.System
-	Board  *machine.Board
-	Host   *kernel.Kernel
-}
-
-func bootX86Host(cpus int, p x86.Profile, name string) (*machine.Board, *kernel.Kernel, error) {
-	b, err := kvmx86.NewBoard(cpus, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, c := range b.CPUs {
-		c.Secure = false
-		c.SetCPSR(uint32(arm.ModeHYP) | arm.PSRI | arm.PSRF)
-	}
-	host := kernel.New(kernel.Config{
-		Name:      name,
-		NumCPUs:   cpus,
-		CPU:       func(i int) *arm.CPU { return b.CPUs[i] },
-		HW:        hostHW(),
-		Mem:       b.RAM,
-		DirectGIC: b.GIC,
-		AllocBase: machine.RAMBase + (64 << 20),
-		AllocSize: (256 << 20) - (96 << 20),
-	})
-	if err := host.BootAll(); err != nil {
-		return nil, nil, err
-	}
-	return b, host, nil
-}
-
-// NewX86Native boots minOS bare-metal with an x86 cost profile.
-func NewX86Native(cpus int, p x86.Profile) (*X86System, error) {
-	b, host, err := bootX86Host(cpus, p, p.Name+"-native")
-	if err != nil {
-		return nil, err
-	}
-	return &X86System{
-		Board: b, Host: host,
-		System: &workloads.System{
-			Name:  p.Name + "-native",
-			Board: b,
-			K:     host,
-			Spawn: host.NewProc,
-			SMP:   cpus,
-		},
 	}, nil
 }
 
-// NewX86Virt boots a VM running minOS under the KVM x86 comparator.
-func NewX86Virt(cpus int, p x86.Profile, tr *trace.Tracer) (*GuestSystem, error) {
-	const memBytes = 96 << 20
-	b, host, err := bootX86Host(cpus, p, p.Name+"-host")
-	if err != nil {
-		return nil, err
-	}
-	xhv, err := kvmx86.Init(b, host, p)
-	if err != nil {
-		return nil, err
-	}
-	env := &hv.Env{Board: b, Host: host, HV: xhv}
-	vm, guest, err := hv.BootGuest(env, cpus, memBytes, 300_000_000, tr)
-	if err != nil {
-		return nil, err
-	}
-	return finishVirt(p.Name+"-kvm", cpus, env, vm, guest), nil
-}
+// The backend families' bring-up hooks, one per family.
 
-// NewVirt boots a guest under the backend registered as name (canonical
-// name or alias, e.g. "ARM", "arm-novgic", "x86 laptop"). This is the
-// backend-neutral entry point the harness layers use.
-func NewVirt(backend string, cpus int, tr *trace.Tracer) (*GuestSystem, error) {
-	be, ok := hv.Lookup(backend)
-	if !ok {
-		return nil, fmt.Errorf("kvmarm: unknown backend %q", backend)
-	}
-	switch be.Name {
-	case "ARM":
-		return NewARMVirt(cpus, VirtOptions{VGIC: true, VTimers: true, Tracer: tr})
-	case "ARM no VGIC/vtimers":
-		return NewARMVirt(cpus, VirtOptions{Tracer: tr})
-	case "ARM VHE":
-		// VHE-era KVM ships the lazy VGIC switch by default.
-		return NewVHEVirt(cpus, VirtOptions{VGIC: true, VTimers: true, LazyVGIC: true, Tracer: tr})
-	case "KVM x86 laptop":
-		return NewX86Virt(cpus, x86.Laptop(), tr)
-	case "KVM x86 server":
-		return NewX86Virt(cpus, x86.Server(), tr)
-	}
-	return nil, fmt.Errorf("kvmarm: backend %q has no boot recipe", be.Name)
-}
-
-// NewVirtWith boots a guest under the named backend with explicit
-// VirtOptions — the entry point for the per-backend §6 ablation matrix,
-// which flips SummaryReg/DirectVIPI/LazyVGIC on every ARM-style backend.
-// The x86 backends have no ARM feature flags and reject non-default
-// options.
-func NewVirtWith(backend string, cpus int, opt VirtOptions) (*GuestSystem, error) {
-	be, ok := hv.Lookup(backend)
-	if !ok {
-		return nil, fmt.Errorf("kvmarm: unknown backend %q", backend)
-	}
-	switch be.Name {
-	case "ARM", "ARM no VGIC/vtimers":
-		return NewARMVirt(cpus, opt)
-	case "ARM VHE":
-		return NewVHEVirt(cpus, opt)
-	case "KVM x86 laptop", "KVM x86 server":
-		if opt.SummaryReg || opt.DirectVIPI || opt.LazyVGIC {
-			return nil, fmt.Errorf("kvmarm: backend %q has no ARM feature flags", be.Name)
-		}
-		p := x86.Laptop()
-		if be.Name == "KVM x86 server" {
-			p = x86.Server()
-		}
-		return NewX86Virt(cpus, p, opt.Tracer)
-	}
-	return nil, fmt.Errorf("kvmarm: backend %q has no boot recipe", be.Name)
-}
-
-// benchHostEnv boots the minimal measurement host the micro-benchmarks
-// use (no virtio hardware map, fixed small allocator) and hands back an
-// hv.Env. Kept deliberately lighter than bootHost so the Table 3 cycle
-// counts measure the hypervisor, not host bring-up.
-func benchHostEnv(b *machine.Board, name string, cpus int) *kernel.Kernel {
-	for _, c := range b.CPUs {
-		c.Secure = false
-		c.SetCPSR(uint32(arm.ModeHYP) | arm.PSRI | arm.PSRF)
-	}
-	return kernel.New(kernel.Config{
-		Name: name, NumCPUs: cpus,
-		CPU:       func(i int) *arm.CPU { return b.CPUs[i] },
-		HW:        kernel.HWConfig{GICDistBase: machine.GICDistBase, GICCPUBase: machine.GICCPUBase},
-		Mem:       b.RAM,
-		DirectGIC: b.GIC,
-		AllocBase: machine.RAMBase + (64 << 20),
-		AllocSize: 160 << 20,
-	})
-}
-
-func benchARMEnv(cpus int, vgic bool) (*hv.Env, error) {
-	cfg := machine.DefaultConfig()
-	cfg.CPUs = cpus
-	cfg.HasVGIC = vgic
-	cfg.HasVirtTimer = vgic
-	b, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	host := benchHostEnv(b, "bench-host", cpus)
-	if err := host.BootAll(); err != nil {
-		return nil, err
-	}
+func initCore(b *machine.Board, host *kernel.Kernel, _ *hv.Backend, lazyVGIC bool) (hv.Hypervisor, error) {
 	k, err := core.Init(b, host)
 	if err != nil {
 		return nil, err
 	}
-	return &hv.Env{Board: b, Host: host, HV: k}, nil
+	k.LazyVGIC = lazyVGIC
+	return k, nil
 }
 
-func benchVHEEnv(cpus int) (*hv.Env, error) {
-	cfg := machine.DefaultConfig()
-	cfg.CPUs = cpus
-	cfg.HasVGIC = true
-	cfg.HasVirtTimer = true
-	b, err := machine.New(cfg)
+func initVHE(b *machine.Board, host *kernel.Kernel, _ *hv.Backend, lazyVGIC bool) (hv.Hypervisor, error) {
+	x, err := vhe.Init(b, host)
 	if err != nil {
 		return nil, err
 	}
-	host := benchHostEnv(b, "bench-vhehost", cpus)
-	if err := host.BootAll(); err != nil {
-		return nil, err
-	}
-	k, err := vhe.Init(b, host)
-	if err != nil {
-		return nil, err
-	}
-	return &hv.Env{Board: b, Host: host, HV: k}, nil
+	x.LazyVGIC = lazyVGIC
+	return x, nil
 }
 
-func benchX86Env(cpus int, p x86.Profile) (*hv.Env, error) {
-	b, err := kvmx86.NewBoard(cpus, p)
+func initX86(b *machine.Board, host *kernel.Kernel, be *hv.Backend, _ bool) (hv.Hypervisor, error) {
+	x, err := kvmx86.Init(b, host, *be.X86)
 	if err != nil {
 		return nil, err
 	}
-	host := benchHostEnv(b, "bench-x86host", cpus)
-	if err := host.BootAll(); err != nil {
-		return nil, err
-	}
-	xhv, err := kvmx86.Init(b, host, p)
-	if err != nil {
-		return nil, err
-	}
-	return &hv.Env{Board: b, Host: host, HV: xhv}, nil
+	return x, nil
 }
 
-// init registers the five evaluated platform configurations with the
-// backend registry. This package is the only one that names concrete
-// backend types; everything downstream (bench, workloads, cmd/) resolves
-// them through hv.Lookup.
+// The platform table: the five evaluated configurations, in registration
+// order. This package is the only one that names concrete backend types;
+// everything downstream (bench, workloads, cmd/) resolves them through
+// hv.Lookup.
 func init() {
-	hv.Register(&hv.Backend{
-		Name: "ARM", Aliases: []string{"arm"}, IsARM: true, BootBudget: 200_000_000,
-		NewBoard: func(cpus int) (*machine.Board, error) {
-			return machine.New(machine.Config{CPUs: cpus, RAMBytes: 16 << 20, HasVGIC: true, HasVirtTimer: true})
-		},
-		NewEnv: func(cpus int) (*hv.Env, error) { return benchARMEnv(cpus, true) },
-	})
-	hv.Register(&hv.Backend{
-		Name: "ARM no VGIC/vtimers", Aliases: []string{"arm-novgic"}, IsARM: true, BootBudget: 200_000_000,
-		NewBoard: func(cpus int) (*machine.Board, error) {
-			return machine.New(machine.Config{CPUs: cpus, RAMBytes: 16 << 20})
-		},
-		NewEnv: func(cpus int) (*hv.Env, error) { return benchARMEnv(cpus, false) },
-	})
-	hv.Register(&hv.Backend{
-		Name: "ARM VHE", Aliases: []string{"vhe", "arm-vhe"}, IsARM: true, BootBudget: 200_000_000,
-		NewBoard: func(cpus int) (*machine.Board, error) {
-			return machine.New(machine.Config{CPUs: cpus, RAMBytes: 16 << 20, HasVGIC: true, HasVirtTimer: true})
-		},
-		NewEnv: func(cpus int) (*hv.Env, error) { return benchVHEEnv(cpus) },
-	})
-	hv.Register(&hv.Backend{
-		Name: "KVM x86 laptop", Aliases: []string{"x86-laptop", "x86 laptop"}, BootBudget: 300_000_000,
-		NewBoard: func(cpus int) (*machine.Board, error) { return kvmx86.NewBoard(cpus, x86.Laptop()) },
-		NewEnv:   func(cpus int) (*hv.Env, error) { return benchX86Env(cpus, x86.Laptop()) },
-	})
-	hv.Register(&hv.Backend{
-		Name: "KVM x86 server", Aliases: []string{"x86-server", "x86 server"}, BootBudget: 300_000_000,
-		NewBoard: func(cpus int) (*machine.Board, error) { return kvmx86.NewBoard(cpus, x86.Server()) },
-		NewEnv:   func(cpus int) (*hv.Env, error) { return benchX86Env(cpus, x86.Server()) },
-	})
+	vgic := machine.Config{HasVGIC: true, HasVirtTimer: true}
+	laptop, server := x86.Laptop(), x86.Server()
+	for _, be := range []*hv.Backend{
+		{Name: "ARM", Aliases: []string{"arm"}, Board: vgic, BootBudget: 200_000_000, Init: initCore},
+		{Name: "ARM no VGIC/vtimers", Aliases: []string{"arm-novgic"}, BootBudget: 200_000_000, Init: initCore},
+		// VHE-era KVM ships the lazy VGIC switch by default.
+		{Name: "ARM VHE", Aliases: []string{"vhe", "arm-vhe"}, Board: vgic, LazyVGIC: true, BootBudget: 200_000_000, Init: initVHE},
+		// x86 has no VGIC; its (emulated) guest timer is backed by the
+		// hardware one.
+		{Name: "KVM x86 laptop", Aliases: []string{"x86-laptop", "x86 laptop"}, Board: machine.Config{HasVirtTimer: true}, X86: &laptop, BootBudget: 300_000_000, Init: initX86},
+		{Name: "KVM x86 server", Aliases: []string{"x86-server", "x86 server"}, Board: machine.Config{HasVirtTimer: true}, X86: &server, BootBudget: 300_000_000, Init: initX86},
+	} {
+		hv.Register(be)
+	}
 }

@@ -1,17 +1,18 @@
 package kvmarm_test
 
 import (
+	"errors"
 	"testing"
 
 	"kvmarm"
 	"kvmarm/internal/arm"
+	"kvmarm/internal/hv"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/workloads"
-	"kvmarm/internal/x86"
 )
 
 func TestNativeSystemRunsWorkloads(t *testing.T) {
-	sys, err := kvmarm.NewARMNative(2)
+	sys, err := kvmarm.NewNative("ARM", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestNativeSystemRunsWorkloads(t *testing.T) {
 }
 
 func TestVirtSystemProperties(t *testing.T) {
-	sys, err := kvmarm.NewARMVirt(2, kvmarm.VirtOptions{VGIC: true, VTimers: true})
+	sys, err := kvmarm.NewVirt("ARM", 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,42 +50,45 @@ func TestVirtSystemProperties(t *testing.T) {
 	}
 }
 
+// TestEveryConfigurationBoots boots a guest under every row of the
+// platform table with the row's defaults, then with each VGIC extension
+// (the §3.5 lazy switch; the §6 hardware): a row with a VGIC boots them,
+// a row without one rejects them with ErrNoVGIC.
 func TestEveryConfigurationBoots(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func() error
-	}{
-		{"arm-novgic", func() error {
-			_, err := kvmarm.NewARMVirt(1, kvmarm.VirtOptions{})
-			return err
-		}},
-		{"arm-lazy", func() error {
-			_, err := kvmarm.NewARMVirt(1, kvmarm.VirtOptions{VGIC: true, VTimers: true, LazyVGIC: true})
-			return err
-		}},
-		{"arm-sec6", func() error {
-			_, err := kvmarm.NewARMVirt(2, kvmarm.VirtOptions{VGIC: true, VTimers: true, SummaryReg: true, DirectVIPI: true})
-			return err
-		}},
-		{"x86-server", func() error {
-			_, err := kvmarm.NewX86Virt(2, x86.Server(), nil)
-			return err
-		}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.mk(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	for _, be := range hv.Backends() {
+		for _, tc := range []struct {
+			suffix string
+			cpus   int
+			opt    *kvmarm.VirtOptions // nil: the row's defaults
+		}{
+			{"", 1, nil},
+			{"-lazy", 1, &kvmarm.VirtOptions{LazyVGIC: true}},
+			{"-sec6", 2, &kvmarm.VirtOptions{SummaryReg: true, DirectVIPI: true}},
+		} {
+			be, tc := be, tc
+			t.Run(be.Aliases[0]+tc.suffix, func(t *testing.T) {
+				if tc.opt == nil {
+					if _, err := kvmarm.NewVirt(be.Name, tc.cpus, nil); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				_, err := kvmarm.NewVirtWith(be.Name, tc.cpus, *tc.opt)
+				if be.Board.HasVGIC && err != nil {
+					t.Fatalf("VGIC extension must boot: %v", err)
+				}
+				if !be.Board.HasVGIC && !errors.Is(err, kvmarm.ErrNoVGIC) {
+					t.Fatalf("VGIC extension on hardware without a VGIC: err = %v, want ErrNoVGIC", err)
+				}
+			})
+		}
 	}
 }
 
 func TestGuestIsolation(t *testing.T) {
 	// Two VMs on one host must not see each other's memory: distinct
 	// VMIDs, distinct Stage-2 trees, distinct consoles.
-	sys, err := kvmarm.NewARMVirt(1, kvmarm.VirtOptions{VGIC: true, VTimers: true, MemBytes: 64 << 20})
+	sys, err := kvmarm.NewVirtWith("ARM", 1, kvmarm.VirtOptions{MemBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +116,7 @@ func TestGuestIsolation(t *testing.T) {
 }
 
 func TestEndToEndGuestWork(t *testing.T) {
-	sys, err := kvmarm.NewARMVirt(1, kvmarm.VirtOptions{VGIC: true, VTimers: true})
+	sys, err := kvmarm.NewVirt("ARM", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
