@@ -149,11 +149,11 @@ func fuzzTwinTable() ([]uint32, error) {
 // equal to the fault-free twin or leaves typed evidence of the fault.
 func FuzzChaosTraffic(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(0), uint16(1))
-	f.Add(uint8(3), uint8(2), uint8(0), uint8(8), uint16(7))   // probabilistic frame drop
-	f.Add(uint8(3), uint8(3), uint8(1), uint8(0), uint16(9))   // corrupt every frame
-	f.Add(uint8(1), uint8(2), uint8(1), uint8(0), uint16(3))   // swallow every completion
-	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), uint16(11))  // MMIO error on 2nd access
-	f.Add(uint8(3), uint8(1), uint8(0), uint8(3), uint16(5))   // frame delays
+	f.Add(uint8(3), uint8(2), uint8(0), uint8(8), uint16(7))  // probabilistic frame drop
+	f.Add(uint8(3), uint8(3), uint8(1), uint8(0), uint16(9))  // corrupt every frame
+	f.Add(uint8(1), uint8(2), uint8(1), uint8(0), uint16(3))  // swallow every completion
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), uint16(11)) // MMIO error on 2nd access
+	f.Add(uint8(3), uint8(1), uint8(0), uint8(3), uint16(5))  // frame delays
 	f.Fuzz(func(t *testing.T, pointSel, kindSel, nth, probDen uint8, seed uint16) {
 		twin, err := fuzzTwinTable()
 		if err != nil {

@@ -159,6 +159,7 @@ type Kernel struct {
 	pl1Handlers []arm.ExcHandler
 	drivers     [numDrivers]*devDriver
 	procs       map[int]*Proc
+	dead        int // processes in procs that reached ProcDead
 	nextPID     int
 
 	// irqHandlers dispatches device SPIs.

@@ -371,6 +371,9 @@ func (k *Kernel) exitCurrent(cpu int) {
 	if p == nil {
 		return
 	}
+	if p.State != ProcDead {
+		k.dead++
+	}
 	p.State = ProcDead
 	if p.AS != nil {
 		k.FreeAddrSpace(p.AS)
@@ -516,8 +519,23 @@ func (s *cpuSched) pickNext(c *arm.CPU) {
 }
 
 // LiveCount reports processes that have not exited (runnable, running or
-// blocked).
+// blocked): every process ever created less the dead ones, O(1) on the
+// context-switch path.
 func (k *Kernel) LiveCount() int {
+	n := len(k.procs) - k.dead
+	if CheckLiveCount != nil {
+		CheckLiveCount(n, k.recountLive())
+	}
+	return n
+}
+
+// CheckLiveCount, when non-nil, receives every LiveCount answer with a
+// full recount of the process table. Tests set it (before any kernel
+// runs) to catch a path that retires a process without counting it; it is
+// nil otherwise, and LiveCount then never scans the table.
+var CheckLiveCount func(counted, recounted int)
+
+func (k *Kernel) recountLive() int {
 	n := 0
 	for _, p := range k.procs {
 		if p.State != ProcDead {

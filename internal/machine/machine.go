@@ -112,8 +112,9 @@ type Board struct {
 	events  eventQueue
 	nextSeq uint64
 
-	// ppiLevel caches timer PPI line levels to avoid redundant GIC work.
-	ppiLevel map[[2]int]bool
+	// ppiLevel caches each CPU's timer PPI line levels (interrupt IDs
+	// 0-31) to avoid redundant GIC work.
+	ppiLevel [][32]bool
 
 	// Per-CPU energy accounting: cycles spent busy vs idle (WFI).
 	BusyCycles []uint64
@@ -138,7 +139,7 @@ func New(cfg Config) (*Board, error) {
 	b := &Board{
 		Cfg:      cfg,
 		RAM:      mem.New(RAMBase, cfg.RAMBytes),
-		ppiLevel: make(map[[2]int]bool),
+		ppiLevel: make([][32]bool, cfg.CPUs),
 	}
 	b.Bus = bus.New(b.RAM)
 	b.GIC = gic.New(cfg.CPUs, 128)
@@ -167,11 +168,12 @@ func New(cfg Config) (*Board, error) {
 		b.GIC.SetVIRQLine = func(cpu int, level bool) { b.CPUs[cpu].VIRQLine = level }
 	}
 	b.Timers.Raise = func(cpu, irq int, level bool) {
-		key := [2]int{cpu, irq}
-		if b.ppiLevel[key] == level {
+		// RaisePPI rejects any ID outside the private range before it
+		// touches anything, so skipping those here changes nothing.
+		if irq < 0 || irq >= len(b.ppiLevel[cpu]) || b.ppiLevel[cpu][irq] == level {
 			return
 		}
-		b.ppiLevel[key] = level
+		b.ppiLevel[cpu][irq] = level
 		_ = b.GIC.RaisePPI(cpu, irq, level)
 	}
 

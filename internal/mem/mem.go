@@ -133,6 +133,24 @@ func (p *Physical) WriteBytes(addr uint64, src []byte) error {
 	return nil
 }
 
+// Copy copies n bytes of RAM from src to dst in place (the ranges may
+// overlap) and reports the write once, as one range.
+func (p *Physical) Copy(dst, src, n uint64) error {
+	si, err := p.index(src, n)
+	if err != nil {
+		return err
+	}
+	di, err := p.index(dst, n)
+	if err != nil {
+		return err
+	}
+	copy(p.data[di:di+n], p.data[si:si+n])
+	if p.OnWrite != nil && n > 0 {
+		p.OnWrite(dst, n)
+	}
+	return nil
+}
+
 // Zero clears n bytes starting at addr.
 func (p *Physical) Zero(addr, n uint64) error {
 	i, err := p.index(addr, n)

@@ -89,3 +89,43 @@ func TestPropertyRoundTrip64(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestCopy(t *testing.T) {
+	p := New(0x1000, 4096)
+	var writes [][2]uint64
+	p.OnWrite = func(pa, n uint64) { writes = append(writes, [2]uint64{pa, n}) }
+	if err := p.WriteBytes(0x1000, []byte{1, 2, 3, 4, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	writes = nil
+	if err := p.Copy(0x1800, 0x1000, 6); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 6)
+	_ = p.ReadBytes(0x1800, got)
+	if string(got) != "\x01\x02\x03\x04\x05\x06" {
+		t.Fatalf("copy = %v", got)
+	}
+	if len(writes) != 1 || writes[0] != [2]uint64{0x1800, 6} {
+		t.Fatalf("OnWrite calls = %v, want one for [0x1800,+6)", writes)
+	}
+	// Overlapping ranges copy as memmove.
+	if err := p.Copy(0x1002, 0x1000, 4); err != nil {
+		t.Fatal(err)
+	}
+	_ = p.ReadBytes(0x1000, got)
+	if string(got) != "\x01\x02\x01\x02\x03\x04" {
+		t.Fatalf("overlapping copy = %v", got)
+	}
+	// Either range outside RAM fails without writing anything.
+	writes = nil
+	if err := p.Copy(0x1FFC, 0x1000, 8); err == nil {
+		t.Error("destination straddling the top must fail")
+	}
+	if err := p.Copy(0x1000, 0x0FF8, 16); err == nil {
+		t.Error("source below base must fail")
+	}
+	if len(writes) != 0 {
+		t.Fatalf("failed copies reported writes: %v", writes)
+	}
+}

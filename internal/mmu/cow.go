@@ -1,6 +1,9 @@
 package mmu
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Copy-on-write page sharing for snapshot/fork fleets. FreezeCow clears
 // DescW on every mapped, writable page leaf the filter selects — the same
@@ -16,6 +19,17 @@ import "fmt"
 // invalidate stale entries after FreezeCow (every CPU, whole VMID) and
 // after a CowFault that returns true (the faulting page), or cached write
 // permissions let stores reach the shared frame.
+
+// FrameCopier is table memory that copies physical memory in place. Stage-2
+// tables live in host RAM (mem.Physical provides it), and CowFault breaks a
+// sharing with one frame copy through it.
+type FrameCopier interface {
+	Copy(dst, src, n uint64) error
+}
+
+// ErrNoFrameCopier is returned by CowFault when a table's memory cannot
+// copy a frame (it does not implement FrameCopier).
+var ErrNoFrameCopier = errors.New("mmu: copy-on-write break on table memory without an in-place frame copy")
 
 // CowPool tracks the sharer count of every copy-on-write frame across the
 // tables forked from one snapshot. A frame's count includes each table
@@ -208,18 +222,16 @@ func (b *Builder) CowFault(ipa uint64) (bool, error) {
 			return false, err
 		}
 	} else {
+		copier, ok := b.Mem.(FrameCopier)
+		if !ok {
+			return false, ErrNoFrameCopier
+		}
 		newPA, err := b.Pool.AllocPages(1)
 		if err != nil {
 			return false, err
 		}
-		for off := uint64(0); off < PageSize; off += 8 {
-			w, err := b.Mem.Read64(pa + off)
-			if err != nil {
-				return false, err
-			}
-			if err := b.Mem.Write64(newPA+off, w); err != nil {
-				return false, err
-			}
+		if err := copier.Copy(newPA, pa, PageSize); err != nil {
+			return false, err
 		}
 		d2, err := b.leaf(page)
 		if err != nil {
@@ -238,8 +250,8 @@ func (b *Builder) CowFault(ipa uint64) (bool, error) {
 		b.cowPool.ref[pa]--
 		// The sharing break remapped this IPA from the frozen frame to a
 		// private copy: drop cached code decoded from either frame (the
-		// copy loop's writes already reported newPA through mem.OnWrite,
-		// but the old frame's blocks are stale for THIS table now too).
+		// copy already reported newPA through mem.OnWrite, but the old
+		// frame's blocks are stale for THIS table now too).
 		if b.Code != nil {
 			b.Code.InvalidatePhysPage(pa >> PageShift)
 			b.Code.InvalidatePhysPage(newPA >> PageShift)

@@ -1,6 +1,11 @@
 package mmu
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"kvmarm/internal/mem"
+)
 
 // cowSetup builds a template Stage-2 table with n writable pages mapped
 // from IPA 0, each page's first word stamped with its index, plus the MMU
@@ -292,5 +297,105 @@ func TestDirtyLogLifecycleErrors(t *testing.T) {
 	}
 	if err := s2.DisableDirtyLog(); err != ErrDirtyLogInactive {
 		t.Fatalf("double disable error = %v, want ErrDirtyLogInactive", err)
+	}
+}
+
+// TestCowBreakCopiesTheWholeFrameOnce pins the copy leg of a sharing
+// break: the private frame carries every byte of the shared one, and the
+// copy reaches mem.OnWrite as one page-sized write.
+func TestCowBreakCopiesTheWholeFrameOnce(t *testing.T) {
+	s2, m, _, p := cowSetup(t, 1)
+	ram := s2.Mem.(*mem.Physical)
+	shared, _, _ := s2.Lookup(0)
+	pattern := make([]byte, PageSize)
+	for i := range pattern {
+		pattern[i] = byte(i*7 + 3)
+	}
+	if err := ram.WriteBytes(shared, pattern); err != nil {
+		t.Fatal(err)
+	}
+	pool := NewCowPool()
+	if _, err := s2.FreezeCow(pool, func(uint64) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := cloneTable(t, s2, pool, p, m, 8)
+
+	var writes [][2]uint64
+	ram.OnWrite = func(pa, n uint64) { writes = append(writes, [2]uint64{pa, n}) }
+	if done, err := c.CowFault(0); err != nil || !done {
+		t.Fatalf("CowFault = %v, %v, want true", done, err)
+	}
+	ram.OnWrite = nil
+	private, _, _ := c.Lookup(0)
+	if private == shared {
+		t.Fatal("break did not privatize the frame")
+	}
+	got := make([]byte, PageSize)
+	_ = ram.ReadBytes(private, got)
+	if string(got) != string(pattern) {
+		t.Fatal("private copy differs from the shared frame")
+	}
+	copies := 0
+	for _, w := range writes {
+		if w[0]>>PageShift == private>>PageShift {
+			copies++
+			if w != [2]uint64{private, PageSize} {
+				t.Fatalf("copy reported as %#x+%d, want one write of the whole frame", w[0], w[1])
+			}
+		}
+	}
+	if copies != 1 {
+		t.Fatalf("copy reported %d times, want once: %v", copies, writes)
+	}
+}
+
+// TestCowBreakNeedsFrameCopier: a table whose memory cannot copy frames
+// in place fails the break with a typed error before allocating, and the
+// page stays shared.
+func TestCowBreakNeedsFrameCopier(t *testing.T) {
+	s2, m, _, p := cowSetup(t, 1)
+	pool := NewCowPool()
+	if _, err := s2.FreezeCow(pool, func(uint64) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := cloneTable(t, s2, pool, p, m, 8)
+	c.Mem = shiftMem{s2.Mem.(*mem.Physical), 0} // words only, no Copy
+	next := p.next
+	if done, err := c.CowFault(0); !errors.Is(err, ErrNoFrameCopier) || done {
+		t.Fatalf("CowFault = %v, %v, want ErrNoFrameCopier", done, err)
+	}
+	if p.next != next {
+		t.Fatal("failed break allocated a page")
+	}
+	if !c.IsCowShared(0) || c.CowBrokenPages() != 0 {
+		t.Fatal("failed break changed the sharing state")
+	}
+}
+
+// TestCowBreakCopyAllocsNothing pins that breaking a shared page — the
+// allocation (stubbed by the bump pool), the frame copy, the leaf update
+// and the bookkeeping — makes no heap allocation once the table's maps
+// have room.
+func TestCowBreakCopyAllocsNothing(t *testing.T) {
+	const pages = 64
+	s2, m, _, p := cowSetup(t, pages)
+	pool := NewCowPool()
+	if _, err := s2.FreezeCow(pool, func(uint64) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := cloneTable(t, s2, pool, p, m, 8)
+	c.cowBroken = make(map[uint32]bool, pages)
+	next := uint64(0)
+	allocs := testing.AllocsPerRun(pages-1, func() {
+		if done, err := c.CowFault(next); err != nil || !done {
+			t.Fatalf("CowFault(%#x) = %v, %v", next, done, err)
+		}
+		next += PageSize
+	})
+	if allocs != 0 {
+		t.Fatalf("CowFault copy allocates %.1f times per break, want 0", allocs)
+	}
+	if c.CowBrokenPages() != pages {
+		t.Fatalf("broke %d pages, want %d", c.CowBrokenPages(), pages)
 	}
 }

@@ -173,11 +173,20 @@ type CodeInvalidator interface {
 }
 
 // MMU is one CPU's translation unit with its TLB.
+//
+// The TLB is unified (one entry per page, tagged with ASID and VMID) and
+// holds at most TLBCapacity entries, evicting the oldest first (FIFO). It
+// is a dense slot array threaded in insertion order by intrusive links,
+// found through an index keyed by the (page, ASID, VMID, Stage-1) tuple
+// packed into one word, so a hit, a fill and an eviction cost O(1). The
+// maintenance operations (FlushASID, FlushVMID, FlushS2Page) visit the at
+// most TLBCapacity slots once; FlushAll empties it in place.
 type MMU struct {
 	Phys PhysReader
 	// WalkReadCycles is the cost of one descriptor fetch.
 	WalkReadCycles uint64
-	// TLBCapacity bounds the unified TLB (entries); 0 means default.
+	// TLBCapacity bounds the unified TLB (entries); 0 means default. It is
+	// read at every fill, so it may be changed after New.
 	TLBCapacity int
 	// Trace, when non-nil, receives TLB maintenance events (flushes).
 	Trace *trace.Tracer
@@ -188,8 +197,7 @@ type MMU struct {
 	// them stale.
 	Code CodeInvalidator
 
-	tlb   map[tlbKey]tlbEntry
-	order []tlbKey // FIFO eviction order
+	tlb   tlb
 	stats TLBStats
 }
 
@@ -206,30 +214,12 @@ type TLBStats struct {
 	Stage2Only uint64
 }
 
-type tlbKey struct {
-	page uint32 // VA (or IPA when S1 is off) page number
-	asid uint8
-	vmid uint8
-	s1   bool // whether Stage-1 participated (ASID meaningful)
-}
-
-type tlbEntry struct {
-	paPage uint64
-	// ipaPage is the intermediate physical page the entry translates
-	// through (equal to paPage when Stage-2 is off). Stage-2 permission
-	// faults and per-IPA invalidation key off it.
-	ipaPage  uint64
-	w, u, xn bool // Stage-1 permissions (w true when Stage-1 is off)
-	s2w      bool // Stage-2 write permission (true when Stage-2 is off)
-}
-
 // New creates an MMU walking tables through phys.
 func New(phys PhysReader, walkReadCycles uint64) *MMU {
 	return &MMU{
 		Phys:           phys,
 		WalkReadCycles: walkReadCycles,
 		TLBCapacity:    512,
-		tlb:            make(map[tlbKey]tlbEntry),
 	}
 }
 
@@ -238,8 +228,7 @@ func (m *MMU) Stats() TLBStats { return m.stats }
 
 // FlushAll invalidates the whole TLB (TLBIALL).
 func (m *MMU) FlushAll() {
-	m.tlb = make(map[tlbKey]tlbEntry)
-	m.order = m.order[:0]
+	m.tlb.flushAll()
 	m.stats.Flushes++
 	if m.Code != nil {
 		m.Code.InvalidateAll()
@@ -249,16 +238,10 @@ func (m *MMU) FlushAll() {
 	}
 }
 
-// FlushASID invalidates entries tagged with asid (TLBIASID). Every bulk
-// delete from tlb must be followed by compactOrder to keep the FIFO order
-// slice consistent with the map.
+// FlushASID invalidates the Stage-1 entries tagged with asid (TLBIASID),
+// whatever their VMID.
 func (m *MMU) FlushASID(asid uint8) {
-	for k := range m.tlb {
-		if k.s1 && k.asid == asid {
-			delete(m.tlb, k)
-		}
-	}
-	m.compactOrder()
+	m.tlb.flushWhere(func(k tlbKey, _ *tlbEntry) bool { return k.s1() && k.asid() == asid })
 	m.stats.Flushes++
 	if m.Trace != nil {
 		m.Trace.Emit(trace.Event{Kind: trace.EvTLBFlush, VCPU: -1, CPU: -1, Arg: trace.FlushScopeASID})
@@ -268,12 +251,7 @@ func (m *MMU) FlushASID(asid uint8) {
 // FlushVMID invalidates entries tagged with vmid (performed by the
 // hypervisor when recycling VMIDs).
 func (m *MMU) FlushVMID(vmid uint8) {
-	for k := range m.tlb {
-		if k.vmid == vmid {
-			delete(m.tlb, k)
-		}
-	}
-	m.compactOrder()
+	m.tlb.flushWhere(func(k tlbKey, _ *tlbEntry) bool { return k.vmid() == vmid })
 	m.stats.Flushes++
 	if m.Code != nil {
 		m.Code.InvalidateAll()
@@ -289,52 +267,28 @@ func (m *MMU) FlushVMID(vmid uint8) {
 // stores through unlogged (or keep faulting after the page was re-enabled).
 func (m *MMU) FlushS2Page(vmid uint8, ipa uint64) {
 	page := ipa >> PageShift
-	for k, e := range m.tlb {
-		if k.vmid == vmid && e.ipaPage == page {
-			if m.Code != nil {
-				m.Code.InvalidatePhysPage(e.paPage)
-			}
-			delete(m.tlb, k)
+	m.tlb.flushWhere(func(k tlbKey, e *tlbEntry) bool {
+		if k.vmid() != vmid || e.ipaPage != page {
+			return false
 		}
-	}
-	m.compactOrder()
+		if m.Code != nil {
+			m.Code.InvalidatePhysPage(e.paPage)
+		}
+		return true
+	})
 	m.stats.Flushes++
 	if m.Trace != nil {
 		m.Trace.Emit(trace.Event{Kind: trace.EvTLBFlush, VM: vmid, VCPU: -1, CPU: -1, Arg: trace.FlushScopeS2Page})
 	}
 }
 
-func (m *MMU) compactOrder() {
-	keep := m.order[:0]
-	for _, k := range m.order {
-		if _, ok := m.tlb[k]; ok {
-			keep = append(keep, k)
-		}
-	}
-	m.order = keep
-}
-
+// insert fills the TLB with e under k (see tlb.insert).
 func (m *MMU) insert(k tlbKey, e tlbEntry) {
-	if _, exists := m.tlb[k]; exists {
-		// Re-insert of a resident key (e.g. a walk refilling a page whose
-		// permissions changed) replaces in place: evicting a FIFO victim
-		// here would wrongly drop an unrelated live entry and desynchronize
-		// order from tlb.
-		m.tlb[k] = e
-		return
-	}
 	capacity := m.TLBCapacity
 	if capacity <= 0 {
 		capacity = 512
 	}
-	if len(m.tlb) >= capacity {
-		// FIFO eviction: deterministic and adequate for a system model.
-		victim := m.order[0]
-		m.order = m.order[1:]
-		delete(m.tlb, victim)
-	}
-	m.order = append(m.order, k)
-	m.tlb[k] = e
+	m.tlb.insert(k, e, capacity)
 }
 
 // Translate resolves va under ctx, returning the PA and walk cost or a
@@ -349,17 +303,19 @@ func (m *MMU) Translate(ctx *Context, va uint32, at AccessType) (Result, *Fault)
 }
 
 func (m *MMU) translate(ctx *Context, va uint32, at AccessType) (Result, *Fault) {
-	key := tlbKey{page: va >> PageShift, asid: ctx.ASID, vmid: 0, s1: ctx.S1Enabled}
+	var asid, vmid uint8
+	if ctx.S1Enabled {
+		asid = ctx.ASID
+	}
 	if ctx.S2Enabled {
-		key.vmid = ctx.VMID
+		vmid = ctx.VMID
 	}
-	if !ctx.S1Enabled {
-		key.asid = 0
-	}
-	if e, ok := m.tlb[key]; ok {
+	key := makeKey(va>>PageShift, asid, vmid, ctx.S1Enabled)
+	if s := m.tlb.find(key); s != 0 {
 		// A TLB hit that faults on permissions is still a hit: counting it
 		// first keeps Hits+Misses equal to the number of translations.
 		m.stats.Hits++
+		e := &m.tlb.slots[s-1].e
 		if f := checkPerms(e, ctx, va, at); f != nil {
 			return Result{}, f
 		}
@@ -403,14 +359,14 @@ func (m *MMU) translate(ctx *Context, va uint32, at AccessType) (Result, *Fault)
 
 	entry.ipaPage = ipa >> PageShift
 	entry.paPage = pa >> PageShift
-	if f := checkPerms(entry, ctx, va, at); f != nil {
+	if f := checkPerms(&entry, ctx, va, at); f != nil {
 		return Result{}, f
 	}
 	m.insert(key, entry)
 	return Result{PA: pa, Cycles: cycles}, nil
 }
 
-func checkPerms(e tlbEntry, ctx *Context, va uint32, at AccessType) *Fault {
+func checkPerms(e *tlbEntry, ctx *Context, va uint32, at AccessType) *Fault {
 	// Stage-1 checks first, matching hardware walk order.
 	if ctx.User && !e.u {
 		return &Fault{Stage: 1, Kind: FaultPermission, Level: 2, VA: va, Access: at}

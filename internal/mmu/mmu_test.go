@@ -287,7 +287,7 @@ func TestTLBEvictionBounded(t *testing.T) {
 			t.Fatal(f)
 		}
 	}
-	if got := len(m.tlb); got > 16 {
+	if got := m.tlb.n; got > 16 {
 		t.Fatalf("TLB grew to %d entries, capacity 16", got)
 	}
 }

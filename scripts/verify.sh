@@ -12,6 +12,7 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test ./...
 # The package-level -race pass runs every test of these packages — none
 # skips under -race or -short — so the hv suites (25-pair migration matrix,
@@ -37,6 +38,14 @@ go test -fuzz FuzzSnapshotFork -fuzztime 5s -run '^$' ./internal/hv/
 # block dispatch vs a single-step oracle: identical registers, flags,
 # cycles, and memory); the long-running variant is manual.
 go test -fuzz FuzzBlockCache -fuzztime 5s -run '^$' ./internal/isa/
+
+# Short TLB fuzz smoke (random translate / fill / flush-by-scope streams at
+# capacities 4..512 vs the map+order reference TLB: identical resident set
+# and FIFO order, victims, stats and code invalidations); the long-running
+# variant is manual. Its inputs are long operation streams, so without a
+# minimisation cap the fuzzer spends the whole 5 s shrinking its first new
+# input instead of searching.
+go test -fuzz FuzzTLB -fuzztime 5s -fuzzminimizetime 20x -run '^$' ./internal/mmu/
 
 # Short switch-frame fuzz smoke (random frame interleavings vs a
 # sequential MAC-learning oracle); the long-running variant is manual.
