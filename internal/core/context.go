@@ -1,19 +1,27 @@
-// Package core implements KVM/ARM: the split-mode hypervisor of the paper.
+// Package core implements the KVM/ARM hypervisor family: the split-mode
+// hypervisor of the paper and, through the same code, its ARMv8.1 VHE
+// successor (internal/vhe).
 //
-// The hypervisor is split into two components (§3.1, Figure 2):
+// Split mode divides the hypervisor in two (§3.1, Figure 2):
 //
 //   - the lowvisor (lowvisor.go) runs in Hyp mode, kept to an absolute
 //     minimum: it configures execution contexts, performs the world switch,
 //     and is the virtualization trap handler;
-//   - the highvisor (highvisor.go) runs in kernel mode as part of the host
-//     kernel, where it reuses minOS services — the scheduler, memory
-//     allocation (GetUserPages), software timers and wait queues — to do
-//     the bulk of the work: Stage-2 fault handling, MMIO emulation and
-//     routing, the virtual distributor, virtual timer multiplexing.
+//   - the highvisor (highvisor.go, vtimer.go) runs in kernel mode as part
+//     of the host kernel, where it reuses minOS services — the scheduler,
+//     memory allocation (GetUserPages), software timers and wait queues —
+//     to do the bulk of the work: Stage-2 fault handling, MMIO emulation
+//     and routing, the virtual distributor, virtual timer multiplexing.
 //
 // Because the hypervisor spans kernel mode and Hyp mode, every transition
 // between a VM and the highvisor is a *double trap*: VM → Hyp (hardware
 // trap into the lowvisor) → host kernel mode (world switch out), and back.
+//
+// The two family members differ in one thing only, the WorldSwitch: how
+// the host kernel reaches a guest and how a guest trap gets back to it
+// (Init uses the lowvisor's; vhe.Init passes its own to New). The Hyp trap
+// entry with its lazy VFP switch, the guest-side world-switch steps, exit
+// handling, MMIO emulation and vtimer multiplexing are this package's, once.
 package core
 
 import (
@@ -51,13 +59,14 @@ func (g *GuestContext) Reg(n int) uint32 { return hv.BankedReg(&g.GP, n) }
 // SetReg writes GP register n in a saved context (MMIO load emulation).
 func (g *GuestContext) SetReg(n int, v uint32) { hv.SetBankedReg(&g.GP, n, v) }
 
-// hostContext is the host-side state the lowvisor parks on its "Hyp stack"
-// during guest execution (world-switch steps 1 and 4).
-type hostContext struct {
+// HostContext is the host state a world switch parks per physical CPU
+// while a guest runs (world-switch steps 1 and 4 in split mode, where it
+// sits on the Hyp stack). The host's floating-point state is parked
+// separately, by the lazy VFP switch.
+type HostContext struct {
 	GP          arm.GPSnapshot
 	CP15        [arm.NumCtxControlRegs]uint32
 	CPSR        uint32
 	PL1Software arm.ExcHandler
 	Runner      arm.Runner
-	VFP         arm.VFP
 }

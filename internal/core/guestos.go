@@ -19,9 +19,6 @@ type GuestOS struct {
 	VM *VM
 }
 
-// LoadedVCPU reports the vCPU running on physical CPU id, if any.
-func (k *KVM) LoadedVCPU(cpuID int) *VCPU { return k.low.loaded[cpuID] }
-
 // NewGuestOS implements hv.VM.
 func (vm *VM) NewGuestOS(memBytes uint64) (hv.GuestOS, error) {
 	return NewGuestOS(vm, memBytes)

@@ -7,7 +7,6 @@ import (
 	"kvmarm/internal/isa"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
-	"kvmarm/internal/timer"
 	"kvmarm/internal/trace"
 )
 
@@ -90,14 +89,15 @@ func (h *Highvisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint3
 	}
 }
 
-// reenter performs the second half of an in-kernel handled exit: HVC back
-// into the lowvisor and world switch in — unless user space asked for a
-// pause, in which case the vCPU parks with its state saved.
+// reenter performs the second half of an in-kernel handled exit: the world
+// switch back in (in split mode an HVC into the lowvisor) — unless user
+// space asked for a pause, in which case the vCPU parks with its state
+// saved.
 func (h *Highvisor) reenter(c *arm.CPU, v *VCPU) {
 	if v.ParkBeforeReentry() {
 		return
 	}
-	h.kvm.low.CallEnterGuest(c, v)
+	h.kvm.ws.Enter(c, v)
 }
 
 // handleHypercall services guest HVC calls: PSCI power management, or the
@@ -227,8 +227,7 @@ func (h *Highvisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, siz
 }
 
 // emulateSysReg services trapped MRC/MCR accesses (the Trap-and-Emulate
-// half of Table 1, plus counter/timer emulation when the hardware lacks
-// virtual timers).
+// half of Table 1, plus counter/timer emulation, vtimer.go).
 func (h *Highvisor) emulateSysReg(c *arm.CPU, v *VCPU, e *arm.Exception) {
 	reg, rt, read := arm.DecodeCP15ISS(arm.HSRISS(e.HSR))
 	switch reg {
@@ -252,127 +251,13 @@ func (h *Highvisor) emulateSysReg(c *arm.CPU, v *VCPU, e *arm.Exception) {
 	case arm.SysDCISW, arm.SysDCCSW:
 		// Set/way cache maintenance: perform on behalf of the guest.
 		c.Charge(c.Cost.CacheOpSetWay + 150)
-	case arm.SysCNTVCTLo, arm.SysCNTVCTHi, arm.SysCNTPCTLo, arm.SysCNTPCTHi:
-		// Counter read on hardware without virtual timers: emulated in
-		// user space (§5.2: "reading a counter traps to user space
-		// without vtimers on the ARM platform").
-		v.vm.Stats.MMIOUserExits++
-		c.Charge(h.kvm.UserTransitionCycles + h.kvm.QEMUWorkCycles/2)
-		if read {
-			cnt := timer.Count(c.Clock) - v.Ctx.VTimer.CNTVOFF
-			if reg == arm.SysCNTVCTHi || reg == arm.SysCNTPCTHi {
-				v.Ctx.SetReg(rt, uint32(cnt>>32))
-			} else {
-				v.Ctx.SetReg(rt, uint32(cnt))
-			}
-		}
-	case arm.SysCNTVCTL, arm.SysCNTVTVAL, arm.SysCNTPCTL, arm.SysCNTPTVAL:
-		// Fully emulated guest timer (no vtimer hardware).
-		v.vm.Stats.MMIOUserExits++
-		c.Charge(h.kvm.UserTransitionCycles + h.kvm.QEMUWorkCycles/2)
+	case arm.SysCNTVCTLo, arm.SysCNTVCTHi, arm.SysCNTPCTLo, arm.SysCNTPCTHi,
+		arm.SysCNTVCTL, arm.SysCNTVTVAL, arm.SysCNTPCTL, arm.SysCNTPTVAL:
 		h.emulateTimerReg(c, v, reg, rt, read)
 	default:
 		if read {
 			v.Ctx.SetReg(rt, 0)
 		}
 		c.Charge(120)
-	}
-}
-
-// emulateTimerReg maintains the software model of the guest timer when
-// there is no virtual timer hardware, arming a host soft timer for the
-// programmed deadline.
-func (h *Highvisor) emulateTimerReg(c *arm.CPU, v *VCPU, reg arm.SysReg, rt int, read bool) {
-	vt := &v.Ctx.VTimer
-	vnow := timer.Count(c.Clock) - vt.CNTVOFF
-	switch reg {
-	case arm.SysCNTVCTL, arm.SysCNTPCTL:
-		if read {
-			val := vt.CTL &^ timer.CTLIStatus
-			if vt.CTL&timer.CTLEnable != 0 && vnow >= vt.CVAL {
-				val |= timer.CTLIStatus
-			}
-			v.Ctx.SetReg(rt, val)
-			return
-		}
-		vt.CTL = v.Ctx.Reg(rt) &^ timer.CTLIStatus
-	case arm.SysCNTVTVAL, arm.SysCNTPTVAL:
-		if read {
-			v.Ctx.SetReg(rt, uint32(vt.CVAL-vnow))
-			return
-		}
-		vt.CVAL = vnow + uint64(int64(int32(v.Ctx.Reg(rt))))
-	}
-	// (Re)arm the host soft timer for the emulated deadline.
-	h.cancelSoftTimer(c, v)
-	if vt.CTL&timer.CTLEnable != 0 && vt.CTL&timer.CTLIMask == 0 {
-		h.armSoftTimer(c, v)
-	}
-}
-
-// --- Virtual timer multiplexing (§3.6) ---
-
-// vtimerOnEntry cancels any host soft timer standing in for the vCPU's
-// virtual timer and loads the real virtual timer hardware. A timer whose
-// expiry was already forwarded as a virtual interrupt is restored masked,
-// so its (level) hardware interrupt does not immediately force another
-// exit; the guest's handler reprograms it.
-func (h *Highvisor) vtimerOnEntry(c *arm.CPU, v *VCPU) {
-	if !h.kvm.Board.Cfg.HasVirtTimer {
-		// Fully emulated timer: the host soft timer must KEEP running
-		// while the guest executes — it is the only thing that can
-		// interrupt the vCPU at the emulated deadline.
-		return
-	}
-	h.cancelSoftTimer(c, v)
-	st := v.Ctx.VTimer
-	if st.CTL&timer.CTLEnable != 0 && st.CTL&timer.CTLIMask == 0 {
-		if timer.Count(c.Clock)-st.CNTVOFF >= st.CVAL {
-			st.CTL |= timer.CTLIMask
-			v.Ctx.VTimer = st
-		}
-	}
-	h.kvm.Board.Timers.RestoreVirt(c.ID, st, c.Clock)
-}
-
-// vtimerOnExit checks a descheduled vCPU's virtual timer: if it already
-// fired, inject the virtual interrupt now (ACK/EOI of the physical side
-// were done by the host IRQ path); if it is armed for the future, program
-// a host software timer for the residual (§3.6).
-func (h *Highvisor) vtimerOnExit(c *arm.CPU, v *VCPU) {
-	vt := v.Ctx.VTimer
-	if vt.CTL&timer.CTLEnable == 0 || vt.CTL&timer.CTLIMask != 0 {
-		return
-	}
-	vnow := timer.Count(c.Clock) - vt.CNTVOFF
-	if vnow >= vt.CVAL {
-		// Mask the (already forwarded) expiry so it is not re-injected
-		// on every subsequent exit.
-		v.Ctx.VTimer.CTL |= timer.CTLIMask
-		v.vm.VDist.InjectTimer(c.ID, v.ID)
-		return
-	}
-	if v.softTimerID != 0 {
-		return // already armed (emulated-timer configurations)
-	}
-	h.armSoftTimer(c, v)
-}
-
-func (h *Highvisor) armSoftTimer(c *arm.CPU, v *VCPU) {
-	vt := v.Ctx.VTimer
-	vnow := timer.Count(c.Clock) - vt.CNTVOFF
-	delay := vt.CVAL - vnow
-	hostCPU := c.ID
-	v.softTimerCPU = hostCPU
-	v.softTimerID = h.kvm.Host.AddTimer(hostCPU, c, delay+1, func(_ *kernel.Kernel, cpu int) {
-		v.softTimerID = 0
-		v.vm.VDist.InjectTimer(cpu, v.ID)
-	})
-}
-
-func (h *Highvisor) cancelSoftTimer(c *arm.CPU, v *VCPU) {
-	if v.softTimerID != 0 {
-		h.kvm.Host.CancelTimer(v.softTimerCPU, c, v.softTimerID)
-		v.softTimerID = 0
 	}
 }

@@ -10,14 +10,21 @@ import (
 	"kvmarm/internal/trace"
 )
 
-// KVM is the hypervisor instance: the KVM subsystem of the host kernel.
-// Board/host wiring, the tracer and fault plane, the VM list and VMID
-// allocation are the embedded kit base.
+// KVM is one hypervisor of the family: the KVM subsystem of the host
+// kernel. Board/host wiring, the tracer and fault plane, the VM list and
+// VMID allocation are the embedded kit base.
 type KVM struct {
 	hv.Base
 
-	low  *Lowvisor
+	ws   WorldSwitch
 	high *Highvisor
+
+	// loaded tracks which vCPU each physical CPU is running.
+	loaded []*VCPU
+	// hostVFP parks the host's floating-point state per physical CPU
+	// while a guest owns the FPU (the lazy VFP switch).
+	hostVFP []arm.VFP
+	stats   Stats
 
 	// LazyVGIC enables the optimisation of §3.5 (skip list-register
 	// save/restore when no virtual interrupts are in flight). The
@@ -40,18 +47,33 @@ type KVM struct {
 	Blocks *isa.BlockCache
 }
 
+// WorldSwitch is what split mode and VHE do differently (§6): how the
+// host kernel enters a guest, and how a guest trap gets back to it.
+// Everything on either side of it is the family's shared code.
+type WorldSwitch interface {
+	// Install runs once, from New on the kit base: it installs
+	// (*KVM).HypTrap as every CPU's Hyp trap handler.
+	Install(k *KVM) error
+	// Enter switches c from the host kernel into v's guest.
+	Enter(c *arm.CPU, v *VCPU)
+	// Exit switches c from v's guest, which has just trapped, back to
+	// the host kernel.
+	Exit(c *arm.CPU, v *VCPU)
+	// HostCall handles a Hyp trap taken while no guest is loaded.
+	HostCall(c *arm.CPU, e *arm.Exception)
+}
+
 // AttachTracer wires t into every layer of the hypervisor: what the kit
-// base covers (lowvisor and highvisor emit through it; GIC, timers, TLBs)
-// plus the block cache.
+// base covers (the world switch and exit handling emit through it; GIC,
+// timers, TLBs) plus the block cache.
 func (k *KVM) AttachTracer(t *trace.Tracer) {
 	k.Base.AttachTracer(t)
 	k.Blocks.Trace = t
 }
 
-// Counters exposes the lowvisor's hypervisor-level statistics under
-// stable names.
+// Counters exposes the hypervisor-level statistics under stable names.
 func (k *KVM) Counters() map[string]uint64 {
-	s := k.low.Stats
+	s := k.stats
 	out := map[string]uint64{
 		"world_switch_in":      s.WorldSwitchIn,
 		"world_switch_out":     s.WorldSwitchOut,
@@ -69,14 +91,21 @@ func (k *KVM) Counters() map[string]uint64 {
 	return out
 }
 
-// Init brings KVM up on a booted host kernel, per the paper's boot
-// protocol: it fails cleanly when the kernel was not entered in Hyp mode.
+// Init brings split-mode KVM/ARM up on a booted host kernel, per the
+// paper's boot protocol: it fails cleanly when the kernel was not entered
+// in Hyp mode.
 func Init(b *machine.Board, host *kernel.Kernel) (*KVM, error) {
-	k := &KVM{UserTransitionCycles: 3000, QEMUWorkCycles: 1400}
+	return New(b, host, &lowvisor{})
+}
+
+// New brings a member of the family up on a booted host kernel, entering
+// and leaving guests through ws.
+func New(b *machine.Board, host *kernel.Kernel, ws WorldSwitch) (*KVM, error) {
+	k := &KVM{ws: ws, loaded: make([]*VCPU, len(b.CPUs)), hostVFP: make([]arm.VFP, len(b.CPUs)),
+		UserTransitionCycles: 3000, QEMUWorkCycles: 1400}
 	k.Base.Init(b, host)
-	k.low = newLowvisor(k)
-	k.high = newHighvisor(k)
-	if err := k.low.initHyp(); err != nil {
+	k.high = &Highvisor{kvm: k}
+	if err := ws.Install(k); err != nil {
 		return nil, err
 	}
 	// Decoded basic-block cache: every RAM mutation reports through
@@ -99,7 +128,7 @@ func Init(b *machine.Board, host *kernel.Kernel) (*KVM, error) {
 	// the issuing VM's virtual distributor, no exit taken.
 	if b.Cfg.HasDirectVIPI && b.VSGI != nil {
 		b.VSGI.Deliver = func(cpu int, mask uint8, id int) {
-			if v := k.low.loaded[cpu]; v != nil {
+			if v := k.loaded[cpu]; v != nil {
 				v.vm.VDist.SendSGIFrom(v, mask, id)
 			}
 		}
@@ -117,8 +146,8 @@ func Init(b *machine.Board, host *kernel.Kernel) (*KVM, error) {
 	return k, nil
 }
 
-// Lowvisor exposes the Hyp-mode component (benchmark instrumentation).
-func (k *KVM) Lowvisor() *Lowvisor { return k.low }
+// LoadedVCPU reports the vCPU running on physical CPU id, if any.
+func (k *KVM) LoadedVCPU(cpuID int) *VCPU { return k.loaded[cpuID] }
 
 // VM is one virtual machine: the kit's VM core (Stage-2 table and guest
 // memory, devices, dirty log, fault resolution, device save/restore) plus
@@ -186,7 +215,8 @@ func (v *VCPU) SetGuestSoftware(h arm.ExcHandler, r arm.Runner) {
 }
 
 // EnterGuest is the backend half of ioctl(KVM_RUN): the user → kernel
-// transition, then HVC into the lowvisor (the double trap's first half).
+// transition, then the world switch in — in split mode an HVC into the
+// lowvisor (the double trap's first half), under VHE a function call.
 // Exits that need user space are handled inline with QEMU costs charged.
 func (v *VCPU) EnterGuest(c *arm.CPU) {
 	k := v.vm.kvm
@@ -194,7 +224,7 @@ func (v *VCPU) EnterGuest(c *arm.CPU) {
 	c.Charge(c.Cost.TrapToPL1 + k.Host.Cost.SyscallWork/2)
 	c.SetCPSR(uint32(arm.ModeSVC) | (prev &^ arm.PSRModeMask))
 	v.Stats.Entries++
-	k.low.CallEnterGuest(c, v)
+	k.ws.Enter(c, v)
 }
 
 // Interface conformance (compile-time).

@@ -120,9 +120,8 @@ func TestGuestHypercallAndShutdown(t *testing.T) {
 	if vm.Stats.Hypercalls < 2 {
 		t.Fatalf("hypercalls = %d", vm.Stats.Hypercalls)
 	}
-	lv := k.Lowvisor()
-	if lv.Stats.WorldSwitchIn < 2 || lv.Stats.WorldSwitchOut < 2 {
-		t.Fatalf("world switches: in=%d out=%d", lv.Stats.WorldSwitchIn, lv.Stats.WorldSwitchOut)
+	if k.stats.WorldSwitchIn < 2 || k.stats.WorldSwitchOut < 2 {
+		t.Fatalf("world switches: in=%d out=%d", k.stats.WorldSwitchIn, k.stats.WorldSwitchOut)
 	}
 }
 
@@ -339,14 +338,13 @@ func TestWorldSwitchCostShape(t *testing.T) {
 		_, v := isaGuest(t, k, prog, 0)
 		_ = v
 		c := b.CPUs[0]
-		lv := k.Lowvisor()
 		var before uint64
 		var cost uint64
 		for i := 0; i < 10_000_000; i++ {
-			if lv.Stats.WorldSwitchIn == 1 && before == 0 {
+			if k.stats.WorldSwitchIn == 1 && before == 0 {
 				before = c.Clock
 			}
-			if lv.Stats.WorldSwitchIn == 2 && cost == 0 {
+			if k.stats.WorldSwitchIn == 2 && cost == 0 {
 				cost = c.Clock - before
 				break
 			}

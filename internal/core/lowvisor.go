@@ -15,8 +15,8 @@ const (
 	HVCEnterGuest     uint16 = 0xE01
 )
 
-// LowvisorStats instruments the Hyp-mode component.
-type LowvisorStats struct {
+// Stats instruments the world switch and the Hyp trap entry.
+type Stats struct {
 	WorldSwitchIn      uint64
 	WorldSwitchOut     uint64
 	GuestTraps         uint64
@@ -26,10 +26,12 @@ type LowvisorStats struct {
 	VGICRestoreSkipped uint64
 }
 
-// Lowvisor is the Hyp-mode component: the only code that touches Hyp
-// configuration state, kept to an absolute minimum (§3.1; 718 LOC in the
-// original, Table 4).
-type Lowvisor struct {
+// lowvisor is split mode's world switch, the Hyp-mode component: the only
+// code that touches Hyp configuration state, kept to an absolute minimum
+// (§3.1; 718 LOC in the original, Table 4). This file is all of it: the
+// Hyp trap entry and the guest-side world-switch steps the VHE member
+// shares run in Hyp mode here too.
+type lowvisor struct {
 	kvm *KVM
 
 	// hypPT is the Hyp-mode page table: Hyp format, built by the
@@ -37,38 +39,27 @@ type Lowvisor struct {
 	// virtual addresses as in the kernel (§3.1).
 	hypPT *mmu.Builder
 
-	// loaded tracks which vCPU each physical CPU is running.
-	loaded []*VCPU
 	// host holds the parked host context per physical CPU.
-	host []hostContext
+	host []HostContext
 	// pendingEnter passes the vCPU argument of an HVCEnterGuest call.
 	pendingEnter []*VCPU
-
-	Stats LowvisorStats
 }
 
-func newLowvisor(k *KVM) *Lowvisor {
-	n := len(k.Board.CPUs)
-	return &Lowvisor{
-		kvm:          k,
-		loaded:       make([]*VCPU, n),
-		host:         make([]hostContext, n),
-		pendingEnter: make([]*VCPU, n),
-	}
-}
-
-// initHyp builds the Hyp page tables and installs the lowvisor's vectors
+// Install builds the Hyp page tables and installs the lowvisor's vectors
 // via the boot stub (§4: KVM re-enters Hyp mode through the hook the
 // kernel installed when it detected a Hyp-mode boot).
-func (lv *Lowvisor) initHyp() error {
-	host := lv.kvm.Host
+func (lv *lowvisor) Install(k *KVM) error {
+	host := k.Host
 	if !host.HypStubInstalled {
 		return fmt.Errorf("core: kernel did not boot in Hyp mode; KVM disabled")
 	}
+	lv.kvm = k
+	lv.host = make([]HostContext, len(k.Board.CPUs))
+	lv.pendingEnter = make([]*VCPU, len(k.Board.CPUs))
 	// The Hyp table cannot reuse the kernel's tables (different format,
 	// §3.1): build a dedicated Hyp-format table mapping the hypervisor
 	// region identity (code + shared data at identical VAs).
-	pt, err := mmu.NewBuilder(mmu.TableHyp, lv.kvm.Board.RAM, host.Alloc)
+	pt, err := mmu.NewBuilder(mmu.TableHyp, k.Board.RAM, host.Alloc)
 	if err != nil {
 		return err
 	}
@@ -83,18 +74,17 @@ func (lv *Lowvisor) initHyp() error {
 	lv.hypPT = pt
 
 	// Per CPU: HVC into the stub, which hands control to KVM's installer.
-	for i, c := range lv.kvm.Board.CPUs {
-		_ = i
-		host.OnHypStub = func(c *arm.CPU, e *arm.Exception) {
-			// Running in Hyp mode now: install the real vectors and
-			// the Hyp memory configuration.
-			c.CP15.Regs[arm.SysHVBAR] = hypVectorBase
-			c.CP15.Write64(arm.SysHTTBRLo, pt.Root)
-			c.CP15.Regs[arm.SysHSCTLR] |= arm.SCTLRM
-			c.HypHandler = lv.dispatch
-			c.Charge(c.Cost.SysRegMove * 4)
-			c.ERET()
-		}
+	host.OnHypStub = func(c *arm.CPU, e *arm.Exception) {
+		// Running in Hyp mode now: install the real vectors and the Hyp
+		// memory configuration.
+		c.CP15.Regs[arm.SysHVBAR] = hypVectorBase
+		c.CP15.Write64(arm.SysHTTBRLo, pt.Root)
+		c.CP15.Regs[arm.SysHSCTLR] |= arm.SCTLRM
+		c.HypHandler = k.HypTrap
+		c.Charge(c.Cost.SysRegMove * 4)
+		c.ERET()
+	}
+	for _, c := range k.Board.CPUs {
 		c.TakeException(&arm.Exception{Kind: arm.ExcHVC, Imm: HVCInstallVectors,
 			HSR: arm.MakeHSR(arm.ECHVC, uint32(HVCInstallVectors))})
 		if c.HypHandler == nil {
@@ -109,39 +99,50 @@ func (lv *Lowvisor) initHyp() error {
 // region).
 const hypVectorBase = 0x2000_0000
 
-// CallEnterGuest is the host-kernel side of entering a VM: stash the
-// argument and HVC into Hyp mode (first half of the double trap).
-func (lv *Lowvisor) CallEnterGuest(c *arm.CPU, v *VCPU) {
+// Enter is the host-kernel side of entering a VM: stash the argument and
+// HVC into Hyp mode (first half of the double trap).
+func (lv *lowvisor) Enter(c *arm.CPU, v *VCPU) {
 	lv.pendingEnter[c.ID] = v
 	c.TakeException(&arm.Exception{Kind: arm.ExcHVC, Imm: HVCEnterGuest,
 		HSR: arm.MakeHSR(arm.ECHVC, uint32(HVCEnterGuest))})
 }
 
-// dispatch is the Hyp trap handler: the single entry point for everything
-// that arrives in Hyp mode — host hypercalls, guest traps, and physical
-// interrupts taken while a VM runs.
-func (lv *Lowvisor) dispatch(c *arm.CPU, e *arm.Exception) {
-	v := lv.loaded[c.ID]
-	if v == nil {
-		// A call from the host kernel.
-		lv.Stats.HostCalls++
-		lv.hostCall(c, e)
+// HostCall handles HVCs from the host kernel.
+func (lv *lowvisor) HostCall(c *arm.CPU, e *arm.Exception) {
+	if e.Imm != HVCEnterGuest {
+		c.ERET()
 		return
 	}
-	lv.Stats.GuestTraps++
+	v := lv.pendingEnter[c.ID]
+	lv.pendingEnter[c.ID] = nil
+	lv.worldSwitchIn(c, v)
+}
 
-	// Lazy VFP switch: handled entirely in the lowvisor, no world switch
+// HypTrap is the family's trap handler: the single entry point for
+// everything that arrives in Hyp mode — host hypercalls, guest traps, and
+// physical interrupts taken while a VM runs. In split mode it is the
+// lowvisor's vector; under VHE it is the host kernel's own EL2 entry.
+func (k *KVM) HypTrap(c *arm.CPU, e *arm.Exception) {
+	v := k.loaded[c.ID]
+	if v == nil {
+		k.stats.HostCalls++
+		k.ws.HostCall(c, e)
+		return
+	}
+	k.stats.GuestTraps++
+
+	// Lazy VFP switch: handled entirely at trap level, no world switch
 	// (world-switch step 6 configured HCPTR to trap FP).
 	if e.Kind == arm.ExcHypTrap && arm.HSREC(e.HSR) == arm.ECVFP {
 		start := c.Clock
-		lv.Stats.VFPLazySwitches++
-		lv.host[c.ID].VFP = c.VFP.Snapshot()
+		k.stats.VFPLazySwitches++
+		k.hostVFP[c.ID] = c.VFP.Snapshot()
 		c.VFP.Restore(v.Ctx.VFP)
 		c.VFP.Enabled = true
 		v.Ctx.Dirty = true
 		c.CP15.Regs[arm.SysHCPTR] = 0
 		c.Charge(uint64(arm.NumVFPDataRegs)*2*c.Cost.VFPRegMove + arm.NumVFPCtrlRegs*2*c.Cost.SysRegMove)
-		if t := lv.kvm.Trace; t != nil {
+		if t := k.Trace; t != nil {
 			t.Emit(trace.Event{Kind: trace.ExitVFP, VM: v.vm.VMID, VCPU: int16(v.ID),
 				CPU: int16(c.ID), HSR: e.HSR, Cycles: c.Clock - start, Time: c.Clock})
 		}
@@ -162,29 +163,23 @@ func (lv *Lowvisor) dispatch(c *arm.CPU, e *arm.Exception) {
 		}
 	}
 
-	lv.worldSwitchOut(c, v)
-	lv.kvm.high.handleExit(c, v, e, insn, insnValid)
-}
-
-// hostCall handles HVCs from the host kernel.
-func (lv *Lowvisor) hostCall(c *arm.CPU, e *arm.Exception) {
-	switch e.Imm {
-	case HVCEnterGuest:
-		v := lv.pendingEnter[c.ID]
-		lv.pendingEnter[c.ID] = nil
-		lv.worldSwitchIn(c, v)
-	default:
-		c.ERET()
+	start := c.Clock
+	k.stats.WorldSwitchOut++
+	k.ws.Exit(c, v)
+	k.loaded[c.ID] = nil
+	v.Unloaded(c)
+	c.VIRQLine = false
+	if t := k.Trace; t != nil {
+		t.Emit(trace.Event{Kind: trace.EvWorldSwitchOut, VM: v.vm.VMID, VCPU: int16(v.ID),
+			CPU: int16(c.ID), PC: v.Ctx.GP.PC, Cycles: c.Clock - start, Time: c.Clock})
 	}
+	k.high.handleExit(c, v, e, insn, insnValid)
 }
 
 // worldSwitchIn performs the ten steps of §3.2 entering a VM. The CPU is
 // in Hyp mode (arrived by HVC from the host kernel).
-func (lv *Lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
-	k := lv.kvm
-	hc := &lv.host[c.ID]
-	lv.Stats.WorldSwitchIn++
-	wsStart := c.Clock
+func (lv *lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
+	hc, start := &lv.host[c.ID], c.Clock
 
 	// (1) Store all host GP registers on the Hyp stack.
 	hc.GP = c.SaveGP()
@@ -193,6 +188,62 @@ func (lv *Lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
 	hc.Runner = c.Runner
 	c.Charge(uint64(arm.GPCount()) * c.Cost.RegSave)
 
+	// (2) Configure the VGIC and (3) the timers for the VM.
+	lv.kvm.LoadVGICAndTimer(c, v)
+
+	// (4) Save all host-specific configuration registers onto the Hyp
+	// stack; (5) load the VM's configuration registers.
+	for i, r := range arm.CtxControlRegs() {
+		hc.CP15[i] = c.CP15.Regs[r]
+		c.CP15.Regs[r] = v.Ctx.CP15[i]
+	}
+	c.Charge(uint64(2*arm.NumCtxControlRegs) * c.Cost.SysRegMove)
+
+	// (6)-(10) Trap configuration, shadow IDs, Stage-2, guest registers
+	// and the jump into the VM.
+	lv.kvm.LoadGuest(c, v, start)
+}
+
+// Exit performs the nine steps of §3.2 returning to the host. The CPU is
+// in Hyp mode; the guest's PC/PSR are in ELR_hyp/SPSR_hyp.
+func (lv *lowvisor) Exit(c *arm.CPU, v *VCPU) {
+	hc := &lv.host[c.ID]
+
+	// (1) Store all VM GP registers; (2) disable Stage-2 translation;
+	// (3) stop trapping accesses.
+	lv.kvm.SaveGuest(c, v)
+
+	// (4) Save all VM-specific configuration registers; (5) load the
+	// host's configuration registers.
+	for i, r := range arm.CtxControlRegs() {
+		v.Ctx.CP15[i] = c.CP15.Regs[r]
+		c.CP15.Regs[r] = hc.CP15[i]
+	}
+	c.Charge(uint64(2*arm.NumCtxControlRegs) * c.Cost.SysRegMove)
+
+	// (6) Configure the timers for the host; (7) save VM-specific VGIC
+	// state; park a guest-owned FPU.
+	lv.kvm.SaveTimerVGICAndVFP(c, v)
+
+	// (8) Restore all host GP registers.
+	c.RestoreGP(hc.GP)
+	c.Charge(uint64(arm.GPCount()) * c.Cost.RegRestore)
+
+	// (9) Trap into kernel mode (the host's).
+	c.PL1Handler = hc.PL1Software
+	c.Runner = hc.Runner
+	c.SetCPSR(hc.CPSR)
+	c.Charge(c.Cost.ERET)
+}
+
+// --- The guest-side world-switch steps ---
+//
+// Both members move the guest's state with the same steps at the same
+// cost; they differ only in how they park and reload the host around them
+// (§6). Split mode runs these in Hyp mode, VHE in the host kernel at EL2.
+
+// LoadVGICAndTimer is world-switch-in steps (2) and (3).
+func (k *KVM) LoadVGICAndTimer(c *arm.CPU, v *VCPU) {
 	// (2) Configure the VGIC for the VM: restore the saved interface
 	// state and flush software-pending interrupts into list registers.
 	if k.Board.Cfg.HasVGIC {
@@ -206,7 +257,7 @@ func (lv *Lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
 			// to program the list registers", §3.5).
 			v.vm.VDist.FlushTo(v, c.ID)
 		} else {
-			lv.Stats.VGICRestoreSkipped++
+			k.stats.VGICRestoreSkipped++
 		}
 	}
 
@@ -216,15 +267,11 @@ func (lv *Lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
 	k.high.vtimerOnEntry(c, v)
 	c.CP15.Regs[arm.SysCNTHCTL] = 0
 	c.Charge(3 * c.Cost.SysRegMove)
+}
 
-	// (4) Save all host-specific configuration registers onto the Hyp
-	// stack; (5) load the VM's configuration registers.
-	for i, r := range arm.CtxControlRegs() {
-		hc.CP15[i] = c.CP15.Regs[r]
-		c.CP15.Regs[r] = v.Ctx.CP15[i]
-	}
-	c.Charge(uint64(2*arm.NumCtxControlRegs) * c.Cost.SysRegMove)
-
+// LoadGuest is world-switch-in steps (6) to (10); start is the clock at
+// which the world switch began.
+func (k *KVM) LoadGuest(c *arm.CPU, v *VCPU, start uint64) {
 	// (6) Configure Hyp mode to trap FP (lazy), interrupts, WFI/WFE,
 	// SMC, sensitive configuration registers and debug registers.
 	c.CP15.Regs[arm.SysHCR] = arm.HCRGuest
@@ -252,7 +299,8 @@ func (lv *Lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
 	// (10) Trap into either user or kernel mode of the VM.
 	c.PL1Handler = v.Ctx.PL1Software
 	c.Runner = v.Ctx.Runner
-	lv.loaded[c.ID] = v
+	k.stats.WorldSwitchIn++
+	k.loaded[c.ID] = v
 	v.Loaded(c)
 	c.SetCPSR(v.Ctx.GP.CPSR)
 	c.Charge(c.Cost.ERET)
@@ -265,7 +313,7 @@ func (lv *Lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
 
 	if t := k.Trace; t != nil {
 		t.Emit(trace.Event{Kind: trace.EvWorldSwitchIn, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(c.ID), PC: v.Ctx.GP.PC, Cycles: c.Clock - wsStart, Time: c.Clock})
+			CPU: int16(c.ID), PC: v.Ctx.GP.PC, Cycles: c.Clock - start, Time: c.Clock})
 	}
 }
 
@@ -278,14 +326,8 @@ func vgicStateLive(s *gic.VGICCpu) bool {
 	return false
 }
 
-// worldSwitchOut performs the nine steps of §3.2 returning to the host.
-// The CPU is in Hyp mode; the guest's PC/PSR are in ELR_hyp/SPSR_hyp.
-func (lv *Lowvisor) worldSwitchOut(c *arm.CPU, v *VCPU) {
-	k := lv.kvm
-	hc := &lv.host[c.ID]
-	lv.Stats.WorldSwitchOut++
-	wsStart := c.Clock
-
+// SaveGuest is world-switch-out steps (1) to (3).
+func (k *KVM) SaveGuest(c *arm.CPU, v *VCPU) {
 	// (1) Store all VM GP registers.
 	gp := c.SaveGP()
 	gp.PC = c.Regs.ELRHyp()
@@ -299,15 +341,11 @@ func (lv *Lowvisor) worldSwitchOut(c *arm.CPU, v *VCPU) {
 	c.CP15.Regs[arm.SysHSTR] = 0
 	c.CP15.Regs[arm.SysHDCR] = 0
 	c.Charge(4 * c.Cost.SysRegMove)
+}
 
-	// (4) Save all VM-specific configuration registers; (5) load the
-	// host's configuration registers.
-	for i, r := range arm.CtxControlRegs() {
-		v.Ctx.CP15[i] = c.CP15.Regs[r]
-		c.CP15.Regs[r] = hc.CP15[i]
-	}
-	c.Charge(uint64(2*arm.NumCtxControlRegs) * c.Cost.SysRegMove)
-
+// SaveTimerVGICAndVFP is world-switch-out steps (6) and (7), then the
+// return of a guest-owned FPU to the host.
+func (k *KVM) SaveTimerVGICAndVFP(c *arm.CPU, v *VCPU) {
 	// (6) Configure the timers for the host: park the virtual timer
 	// state; the highvisor decides whether to arm a software timer. On
 	// hardware without virtual timers the context copy IS the emulated
@@ -329,7 +367,7 @@ func (lv *Lowvisor) worldSwitchOut(c *arm.CPU, v *VCPU) {
 			k.Board.GIC.SetVGICEnabled(c.ID, false)
 			c.Charge(gic.CPUIfaceAccessCycles)
 		} else {
-			lv.Stats.VGICSaveSkipped++
+			k.stats.VGICSaveSkipped++
 			v.Ctx.VGIC = gic.VGICCpu{}
 		}
 		// Reconcile the virtual distributor with what the guest ACKed
@@ -341,26 +379,8 @@ func (lv *Lowvisor) worldSwitchOut(c *arm.CPU, v *VCPU) {
 	// is live in the hardware; park it and restore the host's.
 	if v.Ctx.Dirty {
 		v.Ctx.VFP = c.VFP.Snapshot()
-		c.VFP.Restore(hc.VFP)
+		c.VFP.Restore(k.hostVFP[c.ID])
 		v.Ctx.Dirty = false
 		c.Charge(uint64(arm.NumVFPDataRegs)*2*c.Cost.VFPRegMove + arm.NumVFPCtrlRegs*2*c.Cost.SysRegMove)
-	}
-
-	// (8) Restore all host GP registers.
-	c.RestoreGP(hc.GP)
-	c.Charge(uint64(arm.GPCount()) * c.Cost.RegRestore)
-
-	// (9) Trap into kernel mode (the host's).
-	c.PL1Handler = hc.PL1Software
-	c.Runner = hc.Runner
-	lv.loaded[c.ID] = nil
-	v.Unloaded(c)
-	c.VIRQLine = false
-	c.SetCPSR(hc.CPSR)
-	c.Charge(c.Cost.ERET)
-
-	if t := k.Trace; t != nil {
-		t.Emit(trace.Event{Kind: trace.EvWorldSwitchOut, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(c.ID), PC: v.Ctx.GP.PC, Cycles: c.Clock - wsStart, Time: c.Clock})
 	}
 }

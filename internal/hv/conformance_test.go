@@ -5,7 +5,8 @@
 // matrix: single-vCPU boot, SMP guest-OS boot, MMIO round trips through
 // registered kernel and user regions, the ONE_REG save/restore interface
 // with its not-while-running rule, pause/resume semantics, and VMID
-// allocation up to exhaustion.
+// allocation up to exhaustion; on the ARM rows with virtual timers, the
+// emulation of a trapped physical-counter read.
 package hv_test
 
 import (
@@ -142,6 +143,7 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("onereg", func(t *testing.T) { testOneReg(t, be) })
 			t.Run("pause", func(t *testing.T) { testPauseResume(t, be) })
 			t.Run("vmids", func(t *testing.T) { testVMIDExhaustion(t, be) })
+			t.Run("cntpct", func(t *testing.T) { testPhysCounterTrap(t, be) })
 		})
 	}
 }
@@ -432,5 +434,39 @@ func testVMIDExhaustion(t *testing.T, be *hv.Backend) {
 	}
 	if n := len(env.HV.VMs()); n != 255 {
 		t.Errorf("VMs() = %d, want 255", n)
+	}
+}
+
+// testPhysCounterTrap reads the physical counter from a raw guest. On an
+// ARM board with virtual timers, CNTHCTL=0 keeps the physical counter for
+// the hypervisor, so the read traps and is emulated in user space, while
+// the virtual counter reads on either side of it do not trap. Split mode
+// and VHE run the same emulation: it returns the guest's virtual count at
+// the moment of the trap and costs one user-space MMIO exit.
+func testPhysCounterTrap(t *testing.T, be *hv.Backend) {
+	if be.X86 != nil || !be.Board.HasVirtTimer {
+		t.Skip("only ARM boards with virtual timers trap the physical counter alone")
+	}
+	prog := isa.NewAsm(machine.RAMBase).
+		MRC(isa.R2, uint16(arm.SysCNTVCTLo)).
+		MRC(isa.R3, uint16(arm.SysCNTPCTLo)).
+		MRC(isa.R4, uint16(arm.SysCNTVCTLo)).
+		HVC(kernel.PSCISystemOff).
+		MustAssemble()
+	env, vm, v := rawGuest(t, be, prog)
+	runToShutdown(t, env, v)
+	var r [5]uint32
+	for i := 2; i <= 4; i++ {
+		val, err := v.GetOneReg(hv.RegGP(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r[i] = val
+	}
+	if r[2] == 0 || r[3] < r[2] || r[3] > r[4] {
+		t.Errorf("CNTVCT %d, emulated CNTPCT %d, CNTVCT %d: want the virtual count at the trap, between the two direct reads", r[2], r[3], r[4])
+	}
+	if n := vm.StatsSnapshot().MMIOUserExits; n != 1 {
+		t.Errorf("MMIOUserExits = %d, want 1 (the emulated counter read)", n)
 	}
 }

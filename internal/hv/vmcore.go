@@ -354,6 +354,23 @@ func (vm *VMCore) RestoreDeviceState(st *DeviceState) error {
 
 // --- Guest OS coupling ---
 
+// BoardHW is the board's hardware map as a kernel sees it: the GIC, the
+// UART and the three virtio devices with their interrupts. Hosts and
+// guests boot against the same map.
+func BoardHW() kernel.HWConfig {
+	return kernel.HWConfig{
+		GICDistBase: machine.GICDistBase,
+		GICCPUBase:  machine.GICCPUBase,
+		UARTBase:    machine.UARTBase,
+		NetBase:     machine.VirtNetBase,
+		BlkBase:     machine.VirtBlkBase,
+		ConBase:     machine.VirtConBase,
+		IRQNet:      machine.IRQNet,
+		IRQBlk:      machine.IRQBlk,
+		IRQCon:      machine.IRQCon,
+	}
+}
+
 // GuestKernelConfig is the kernel.Config an unmodified minOS instance
 // boots with inside this VM: devices at the board's addresses, and its
 // "physical" memory reached through the second stage on whichever CPU is
@@ -390,17 +407,7 @@ func (vm *VMCore) GuestKernelConfig(memBytes uint64) (kernel.Config, error) {
 			}
 			return board.CPUs[0]
 		},
-		HW: kernel.HWConfig{
-			GICDistBase: machine.GICDistBase,
-			GICCPUBase:  machine.GICCPUBase,
-			UARTBase:    machine.UARTBase,
-			NetBase:     machine.VirtNetBase,
-			BlkBase:     machine.VirtBlkBase,
-			ConBase:     machine.VirtConBase,
-			IRQNet:      machine.IRQNet,
-			IRQBlk:      machine.IRQBlk,
-			IRQCon:      machine.IRQCon,
-		},
+		HW:        BoardHW(),
 		Mem:       phys,
 		AllocBase: machine.RAMBase + (8 << 20),
 		AllocSize: memBytes - (16 << 20),

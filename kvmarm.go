@@ -87,21 +87,6 @@ type GuestSystem struct {
 	Guest  hv.GuestOS
 }
 
-// hostHW is the board's full hardware map as a workload host sees it.
-func hostHW() kernel.HWConfig {
-	return kernel.HWConfig{
-		GICDistBase: machine.GICDistBase,
-		GICCPUBase:  machine.GICCPUBase,
-		UARTBase:    machine.UARTBase,
-		NetBase:     machine.VirtNetBase,
-		BlkBase:     machine.VirtBlkBase,
-		ConBase:     machine.VirtConBase,
-		IRQNet:      machine.IRQNet,
-		IRQBlk:      machine.IRQBlk,
-		IRQCon:      machine.IRQCon,
-	}
-}
-
 func lookup(name string) (*hv.Backend, error) {
 	be, ok := hv.Lookup(name)
 	if !ok {
@@ -118,7 +103,7 @@ func NewNative(name string, cpus int) (*NativeSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, host, err := be.BootHost(cpus, hostHW())
+	b, host, err := be.BootHost(cpus, hv.BoardHW())
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +143,7 @@ func NewVirtWith(name string, cpus int, opt VirtOptions) (*GuestSystem, error) {
 	row := *be
 	row.Board.HasSummaryReg = opt.SummaryReg
 	row.Board.HasDirectVIPI = opt.DirectVIPI
-	env, err := row.Up(cpus, hostHW(), opt.LazyVGIC)
+	env, err := row.Up(cpus, hv.BoardHW(), opt.LazyVGIC)
 	if err != nil {
 		return nil, err
 	}
@@ -179,24 +164,18 @@ func NewVirtWith(name string, cpus int, opt VirtOptions) (*GuestSystem, error) {
 	}, nil
 }
 
-// The backend families' bring-up hooks, one per family.
+// The backend families' bring-up hooks, one per family; the two ARM
+// members share one, differing only in their Init.
 
-func initCore(b *machine.Board, host *kernel.Kernel, _ *hv.Backend, lazyVGIC bool) (hv.Hypervisor, error) {
-	k, err := core.Init(b, host)
-	if err != nil {
-		return nil, err
+func initARM(familyInit func(*machine.Board, *kernel.Kernel) (*core.KVM, error)) func(*machine.Board, *kernel.Kernel, *hv.Backend, bool) (hv.Hypervisor, error) {
+	return func(b *machine.Board, host *kernel.Kernel, _ *hv.Backend, lazyVGIC bool) (hv.Hypervisor, error) {
+		k, err := familyInit(b, host)
+		if err != nil {
+			return nil, err
+		}
+		k.LazyVGIC = lazyVGIC
+		return k, nil
 	}
-	k.LazyVGIC = lazyVGIC
-	return k, nil
-}
-
-func initVHE(b *machine.Board, host *kernel.Kernel, _ *hv.Backend, lazyVGIC bool) (hv.Hypervisor, error) {
-	x, err := vhe.Init(b, host)
-	if err != nil {
-		return nil, err
-	}
-	x.LazyVGIC = lazyVGIC
-	return x, nil
 }
 
 func initX86(b *machine.Board, host *kernel.Kernel, be *hv.Backend, _ bool) (hv.Hypervisor, error) {
@@ -215,10 +194,10 @@ func init() {
 	vgic := machine.Config{HasVGIC: true, HasVirtTimer: true}
 	laptop, server := x86.Laptop(), x86.Server()
 	for _, be := range []*hv.Backend{
-		{Name: "ARM", Aliases: []string{"arm"}, Board: vgic, BootBudget: 200_000_000, Init: initCore},
-		{Name: "ARM no VGIC/vtimers", Aliases: []string{"arm-novgic"}, BootBudget: 200_000_000, Init: initCore},
+		{Name: "ARM", Aliases: []string{"arm"}, Board: vgic, BootBudget: 200_000_000, Init: initARM(core.Init)},
+		{Name: "ARM no VGIC/vtimers", Aliases: []string{"arm-novgic"}, BootBudget: 200_000_000, Init: initARM(core.Init)},
 		// VHE-era KVM ships the lazy VGIC switch by default.
-		{Name: "ARM VHE", Aliases: []string{"vhe", "arm-vhe"}, Board: vgic, LazyVGIC: true, BootBudget: 200_000_000, Init: initVHE},
+		{Name: "ARM VHE", Aliases: []string{"vhe", "arm-vhe"}, Board: vgic, LazyVGIC: true, BootBudget: 200_000_000, Init: initARM(vhe.Init)},
 		// x86 has no VGIC; its (emulated) guest timer is backed by the
 		// hardware one.
 		{Name: "KVM x86 laptop", Aliases: []string{"x86-laptop", "x86 laptop"}, Board: machine.Config{HasVirtTimer: true}, X86: &laptop, BootBudget: 300_000_000, Init: initX86},
