@@ -154,7 +154,7 @@ func (c *CPU) WriteSys(reg SysReg, rt int, v uint32) bool {
 		c.Charge(c.Cost.TLBFlushAll)
 		return false
 	case SysTLBIASID:
-		c.MMU.FlushASID(uint8(v))
+		c.FlushASID(uint8(v))
 		c.Charge(c.Cost.TLBFlushASID)
 		return false
 	case SysICIALLU:

@@ -75,6 +75,9 @@ type CPU struct {
 	WFIWait bool
 	// eventPending implements the WFE/SEV event register.
 	eventPending bool
+	// tctx is the translation regime of the access in progress: regime
+	// refills it for every access, and nothing reads it in between.
+	tctx mmu.Context
 
 	Traps TrapCounters
 	// Insns counts instructions retired by the interpreter.
@@ -154,28 +157,47 @@ func (c *CPU) InGuest() bool {
 	return c.HCR()&HCRVM != 0 && c.Mode() != ModeHYP && c.Mode() != ModeMON
 }
 
-// TranslationContext assembles the MMU regime for the current mode.
-func (c *CPU) TranslationContext() mmu.Context {
+// regime fills ctx, in place, with the MMU translation regime of the
+// current mode: Hyp's own Stage-1 tables, or the PL1&0 tables with
+// Stage 2 when HCR.VM is set.
+func (c *CPU) regime(ctx *mmu.Context) {
 	m := c.Mode()
-	ctx := mmu.Context{User: m == ModeUSR}
-	if m == ModeHYP {
-		ctx.S1Enabled = c.CP15.Regs[SysHSCTLR]&SCTLRM != 0
-		ctx.Format = mmu.FormatHyp
-		ctx.TTBR0 = c.CP15.Read64(SysHTTBRLo)
-		return ctx
+	if m != ModeHYP {
+		c.pl1Regime(ctx, m == ModeUSR, c.HCR()&HCRVM != 0)
+		return
 	}
+	ctx.S1Enabled = c.CP15.Regs[SysHSCTLR]&SCTLRM != 0
+	ctx.Format = mmu.FormatHyp
+	ctx.TTBR0 = c.CP15.Read64(SysHTTBRLo)
+	ctx.TTBR1, ctx.TTBR1Base, ctx.ASID, ctx.User = 0, 0, 0, false
+	ctx.S2Enabled, ctx.VTTBR, ctx.VMID = false, 0, 0
+}
+
+// pl1Regime fills ctx with the PL1&0 regime (a kernel's SCTLR, TTBR0/1,
+// TTBCR and ASID; user marks a PL0 access) and, when s2 is set, the
+// Stage-2 regime VTTBR names.
+func (c *CPU) pl1Regime(ctx *mmu.Context, user, s2 bool) {
 	ctx.S1Enabled = c.CP15.Regs[SysSCTLR]&SCTLRM != 0
 	ctx.Format = mmu.FormatKernel
 	ctx.TTBR0 = c.CP15.Read64(SysTTBR0Lo)
 	ctx.TTBR1 = c.CP15.Read64(SysTTBR1Lo)
 	ctx.TTBR1Base = c.CP15.Regs[SysTTBCR]
 	ctx.ASID = uint8(c.CP15.Regs[SysCONTEXTIDR])
-	if c.HCR()&HCRVM != 0 {
-		ctx.S2Enabled = true
-		ctx.VTTBR = c.CP15.Read64(SysVTTBRLo) & mmu.DescAddrMask
-		ctx.VMID = uint8(c.CP15.Read64(SysVTTBRLo) >> 48)
+	ctx.User = user
+	ctx.S2Enabled, ctx.VTTBR, ctx.VMID = s2, 0, 0
+	if s2 {
+		vttbr := c.CP15.Read64(SysVTTBRLo)
+		ctx.VTTBR = vttbr & mmu.DescAddrMask
+		ctx.VMID = uint8(vttbr >> 48)
 	}
-	return ctx
+}
+
+// FlushASID performs TLBIASID: it invalidates the Stage-1 entries tagged
+// with asid under the VMID of the current regime, so a guest's (or the
+// host's) maintenance never reaches another VM's translations.
+func (c *CPU) FlushASID(asid uint8) {
+	c.regime(&c.tctx)
+	c.MMU.FlushASID(c.tctx.VMID, asid)
 }
 
 // MemFaultError wraps an MMU fault for Go callers using TryRead/TryWrite.
@@ -186,8 +208,8 @@ func (e *MemFaultError) Error() string { return e.Fault.Error() }
 // TryRead translates and reads size bytes at va without raising exceptions;
 // privileged Go code (kernel services) uses it and handles faults itself.
 func (c *CPU) TryRead(va uint32, size int) (uint64, error) {
-	ctx := c.TranslationContext()
-	res, f := c.MMU.Translate(&ctx, va, mmu.Load)
+	c.regime(&c.tctx)
+	res, f := c.MMU.Translate(&c.tctx, va, mmu.Load)
 	if f != nil {
 		return 0, &MemFaultError{Fault: f}
 	}
@@ -200,8 +222,8 @@ func (c *CPU) TryRead(va uint32, size int) (uint64, error) {
 
 // TryWrite is the store counterpart of TryRead.
 func (c *CPU) TryWrite(va uint32, size int, v uint64) error {
-	ctx := c.TranslationContext()
-	res, f := c.MMU.Translate(&ctx, va, mmu.Store)
+	c.regime(&c.tctx)
+	res, f := c.MMU.Translate(&c.tctx, va, mmu.Store)
 	if f != nil {
 		return &MemFaultError{Fault: f}
 	}
@@ -236,8 +258,8 @@ func (c *CPU) abortFor(f *mmu.Fault, iss uint32) *Exception {
 // instruction classes that do not populate the syndrome (forcing the
 // hypervisor onto its software-decode path).
 func (c *CPU) Access(va uint32, size int, at mmu.AccessType, v *uint64, issValid bool, rt int) (taken bool) {
-	ctx := c.TranslationContext()
-	res, f := c.MMU.Translate(&ctx, va, at)
+	c.regime(&c.tctx)
+	res, f := c.MMU.Translate(&c.tctx, va, at)
 	if f != nil {
 		sizeLog2 := 0
 		for 1<<sizeLog2 < size {
@@ -272,8 +294,8 @@ func (c *CPU) Access(va uint32, size int, at mmu.AccessType, v *uint64, issValid
 // same exception, with the same syndrome, that Fetch32 would take. Block
 // dispatch uses it to pay the fetch translation once per basic block.
 func (c *CPU) TranslatePC() (uint64, bool) {
-	ctx := c.TranslationContext()
-	res, f := c.MMU.Translate(&ctx, c.Regs.PC(), mmu.Fetch)
+	c.regime(&c.tctx)
+	res, f := c.MMU.Translate(&c.tctx, c.Regs.PC(), mmu.Fetch)
 	if f != nil {
 		c.TakeException(c.abortFor(f, DataAbortISS(true, 2, 0, false)))
 		return 0, false

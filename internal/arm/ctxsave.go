@@ -46,19 +46,9 @@ func (c *CPU) RestoreGP(s GPSnapshot) {
 // trap handler runs before the world switch restores the host's Stage-1
 // state, so CP15 still holds the guest's configuration.
 func (c *CPU) ReadVM(va uint32, size int) (uint64, error) {
-	ctx := c.TranslationContext()
-	// Rebuild as a PL1 (guest kernel) access rather than a Hyp access.
-	ctx.S1Enabled = c.CP15.Regs[SysSCTLR]&SCTLRM != 0
-	ctx.Format = mmu.FormatKernel
-	ctx.TTBR0 = c.CP15.Read64(SysTTBR0Lo)
-	ctx.TTBR1 = c.CP15.Read64(SysTTBR1Lo)
-	ctx.TTBR1Base = c.CP15.Regs[SysTTBCR]
-	ctx.ASID = uint8(c.CP15.Regs[SysCONTEXTIDR])
-	ctx.User = false
-	ctx.S2Enabled = true
-	ctx.VTTBR = c.CP15.Read64(SysVTTBRLo) & mmu.DescAddrMask
-	ctx.VMID = uint8(c.CP15.Read64(SysVTTBRLo) >> 48)
-	res, f := c.MMU.Translate(&ctx, va, mmu.Load)
+	// A PL1 (guest kernel) access through Stage 2, not a Hyp access.
+	c.pl1Regime(&c.tctx, false, true)
+	res, f := c.MMU.Translate(&c.tctx, va, mmu.Load)
 	if f != nil {
 		return 0, &MemFaultError{Fault: f}
 	}

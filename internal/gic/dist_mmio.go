@@ -134,6 +134,7 @@ func (d *DistDevice) writeEnable(word int, bits uint32, enable bool) {
 		}
 		if s, err := g.irq(d.cpu(), id); err == nil {
 			s.enabled = enable
+			g.ready.Sync(d.cpu(), id)
 		}
 	}
 	g.update()

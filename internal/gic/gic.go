@@ -131,6 +131,8 @@ type GIC struct {
 	ctlEnabled bool
 	spi        []irqState
 	cpus       []cpuState
+	// ready indexes the enabled, pending, inactive interrupts (readyBit).
+	ready ReadySet[*GIC]
 
 	// SetIRQLine is wired by the board to drive each CPU's IRQ input.
 	SetIRQLine func(cpu int, level bool)
@@ -156,7 +158,8 @@ type Stats struct {
 	LRReads      uint64
 }
 
-// New creates a GIC for numCPUs cores and numIRQs interrupt IDs.
+// New creates a GIC for numCPUs cores (at most MaxCPUs) and numIRQs
+// interrupt IDs (at most 160: 128 SPIs).
 func New(numCPUs, numIRQs int) *GIC {
 	if numIRQs < SPIBase {
 		numIRQs = SPIBase
@@ -172,8 +175,24 @@ func New(numCPUs, numIRQs int) *GIC {
 		g.cpus[i].ctlEnabled = true
 	}
 	g.ctlEnabled = true
+	g.ready = NewReadySet(numCPUs, numIRQs-SPIBase, g, (*GIC).readyBit, (*GIC).routes)
 	return g
 }
+
+// readyBit is the GIC's ready-set rule: an interrupt can be signalled
+// when it is enabled, pending and not active.
+func (g *GIC) readyBit(cpu, id int) bool {
+	var s *irqState
+	if id < SPIBase {
+		s = &g.cpus[cpu].priv[id]
+	} else {
+		s = &g.spi[id-SPIBase]
+	}
+	return s.enabled && s.pending && !s.active
+}
+
+// routes is the GIC's SPI routing rule: the ITARGETSR CPU mask.
+func (g *GIC) routes(id, cpu int) bool { return g.spi[id-SPIBase].target&(1<<cpu) != 0 }
 
 func (g *GIC) irq(cpu, id int) (*irqState, error) {
 	switch {
@@ -193,6 +212,7 @@ func (g *GIC) EnableIRQ(cpu, id int) error {
 		return err
 	}
 	s.enabled = true
+	g.ready.Sync(cpu, id)
 	g.update()
 	return nil
 }
@@ -204,6 +224,7 @@ func (g *GIC) DisableIRQ(cpu, id int) error {
 		return err
 	}
 	s.enabled = false
+	g.ready.Sync(cpu, id)
 	g.update()
 	return nil
 }
@@ -228,6 +249,7 @@ func (g *GIC) RaiseSPI(id int, level bool) error {
 	if level {
 		s.pending = true
 	}
+	g.ready.Sync(0, id)
 	g.update()
 	return nil
 }
@@ -244,6 +266,7 @@ func (g *GIC) RaisePPI(cpu, id int, level bool) error {
 	} else {
 		s.pending = false
 	}
+	g.ready.Sync(cpu, id)
 	g.update()
 	return nil
 }
@@ -264,6 +287,7 @@ func (g *GIC) SendSGI(src int, targetMask uint8, id int) error {
 		s := &g.cpus[cpu].priv[id]
 		s.pending = true
 		g.cpus[cpu].sgiSource[id] = src
+		g.ready.Sync(cpu, id)
 	}
 	g.update()
 	return nil
@@ -272,23 +296,10 @@ func (g *GIC) SendSGI(src int, targetMask uint8, id int) error {
 // pendingFor returns the highest-priority (lowest-ID) pending enabled
 // interrupt for cpu, or -1.
 func (g *GIC) pendingFor(cpu int) int {
-	cs := &g.cpus[cpu]
-	if !g.ctlEnabled || !cs.ctlEnabled {
+	if !g.ctlEnabled || !g.cpus[cpu].ctlEnabled {
 		return -1
 	}
-	for id := 0; id < SPIBase; id++ {
-		s := &cs.priv[id]
-		if s.enabled && s.pending && !s.active {
-			return id
-		}
-	}
-	for i := range g.spi {
-		s := &g.spi[i]
-		if s.enabled && s.pending && !s.active && s.target&(1<<cpu) != 0 {
-			return SPIBase + i
-		}
-	}
-	return -1
+	return g.ready.Lowest(cpu)
 }
 
 // update recomputes every CPU's IRQ and VIRQ lines.
@@ -319,6 +330,7 @@ func (g *GIC) Ack(cpu int) (id, srcCPU int) {
 		s.pending = false
 	}
 	s.active = true
+	g.ready.Sync(cpu, id)
 	if id < NumSGIs {
 		srcCPU = g.cpus[cpu].sgiSource[id]
 	}
@@ -335,6 +347,7 @@ func (g *GIC) EOI(cpu, id int) {
 		if s.level {
 			s.pending = true
 		}
+		g.ready.Sync(cpu, id)
 	}
 	g.update()
 }

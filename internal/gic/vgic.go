@@ -134,6 +134,7 @@ func (g *GIC) VEOI(cpu, virtID int) {
 		if lr.HW {
 			if s, err := g.irq(cpu, lr.PhysID); err == nil {
 				s.active = false
+				g.ready.Sync(cpu, lr.PhysID)
 			}
 		}
 		if lr.EOIMaint {
@@ -154,6 +155,7 @@ func (g *GIC) raiseMaintenance(cpu int) {
 	s := &g.cpus[cpu].priv[IRQMaintenance]
 	s.pending = true
 	s.enabled = true
+	g.ready.Sync(cpu, IRQMaintenance)
 	g.update()
 }
 
@@ -249,5 +251,6 @@ func (g *GIC) ClearMaintenance(cpu int) {
 	s := &g.cpus[cpu].priv[IRQMaintenance]
 	s.pending = false
 	s.active = false
+	g.ready.Sync(cpu, IRQMaintenance)
 	g.update()
 }

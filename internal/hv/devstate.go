@@ -108,6 +108,7 @@ func (d *VDist) drainLRs(vcpu int) {
 				s.active = true
 				s.activeOn = int8(vcpu)
 			}
+			d.resync(vcpu, lr.VirtID)
 		}
 		*lr = gic.ListReg{}
 	}
@@ -151,6 +152,8 @@ func (d *VDist) restoreState(st *ICState) error {
 	for i := range d.spi {
 		importVIRQ(&d.spi[i], st.SPI[i])
 	}
+	d.ready.Rebuild()
+	d.inflight.Rebuild()
 	return nil
 }
 
@@ -174,6 +177,7 @@ func (d *VDist) restageActive(vcpuID int) {
 		lr++
 		s.inflight = true
 		s.staged = s.raised
+		d.resync(vcpuID, id)
 	}
 	for id := 0; id < gic.SPIBase; id++ {
 		stage(id, &d.priv[vcpuID][id])

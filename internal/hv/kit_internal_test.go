@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kvmarm/internal/arm"
+	"kvmarm/internal/gic"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
 	"kvmarm/internal/mmu"
@@ -420,5 +421,21 @@ func TestRegionAccessBusError(t *testing.T) {
 	}
 	if vm.Stats.BusErrors != 1 || v.State() != "shutdown" {
 		t.Errorf("bus errors = %d, vCPU %s; want 1, shutdown", vm.Stats.BusErrors, v.State())
+	}
+}
+
+// TestVCPULimit: interrupt models route by one-byte vCPU masks, so a VM
+// takes gic.MaxCPUs vCPUs and refuses the next.
+func TestVCPULimit(t *testing.T) {
+	_, vm, _ := newKit(t, 1<<20)
+	for id := 1; id <= gic.MaxCPUs; id++ {
+		v := &kitVCPU{}
+		err := vm.InitVCPU(&v.VCPUCore, v, &v.regs, id)
+		if id < gic.MaxCPUs && err != nil {
+			t.Fatalf("vCPU %d: %v", id, err)
+		}
+		if id == gic.MaxCPUs && err == nil {
+			t.Fatalf("vCPU %d accepted beyond the %d-vCPU limit", id, gic.MaxCPUs)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"kvmarm/internal/arm"
 	"kvmarm/internal/fault"
+	"kvmarm/internal/gic"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/timer"
 	"kvmarm/internal/trace"
@@ -92,6 +93,11 @@ type VCPUCore struct {
 func (vm *VMCore) InitVCPU(v *VCPUCore, self BackendVCPU, regs *GuestRegs, id int) error {
 	if id != len(vm.vcpus) {
 		return fmt.Errorf("hv: vCPUs must be created in order")
+	}
+	if id >= gic.MaxCPUs {
+		// The interrupt models route by one-byte CPU masks, as GICv2
+		// does (KVM's vgic-v2 has the same limit).
+		return fmt.Errorf("hv: at most %d vCPUs per VM", gic.MaxCPUs)
 	}
 	*v = VCPUCore{ID: id, vm: vm, self: self, regs: regs, phys: -1,
 		wq: kernel.NewWaitQueue(fmt.Sprintf("vcpu%d.%d", vm.VMID, id))}

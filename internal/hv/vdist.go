@@ -55,6 +55,10 @@ type VDist struct {
 	sgiSrc [][gic.NumSGIs]int
 	// spi is the shared interrupt state.
 	spi []virqState
+	// ready indexes the enabled, pending, inactive interrupts and inflight
+	// the ones staged in a list register; resync keeps both in step with
+	// the slots above.
+	ready, inflight gic.ReadySet[*VDist]
 
 	// Injections/SGIs/Flushes are delivery statistics.
 	Injections uint64
@@ -81,18 +85,30 @@ type virqState struct {
 	activeOn int8
 }
 
-// deliverable reports whether s holds an undelivered instance for v.
-func (s *virqState) deliverable() bool {
-	return s.enabled && s.pending && !s.active && (!s.inflight || s.raised > s.staged)
-}
+// undelivered reports whether a ready s still holds an instance no list
+// register carries: it is not in flight, or an edge was raised after the
+// in-flight instance was staged.
+func (s *virqState) undelivered() bool { return !s.inflight || s.raised > s.staged }
 
 const vdistSPIs = 96
 
 // NewVDist builds the software distributor model for one VM.
 func NewVDist(b *machine.Board, vmid uint8, stats *VMStats, tracer func() *trace.Tracer) *VDist {
-	return &VDist{Board: b, VMID: vmid, Stats: stats, Tracer: tracer,
+	d := &VDist{Board: b, VMID: vmid, Stats: stats, Tracer: tracer,
 		enabled: true, spi: make([]virqState, vdistSPIs)}
+	d.ready = gic.NewReadySet(0, vdistSPIs, d, (*VDist).readyBit, (*VDist).routes)
+	d.inflight = gic.NewReadySet(0, vdistSPIs, d, (*VDist).inflightBit, nil)
+	return d
 }
+
+// readyBit is the ready-set rule: enabled, pending and not active.
+func (d *VDist) readyBit(vcpu, id int) bool {
+	s := d.irq(vcpu, id)
+	return s.enabled && s.pending && !s.active
+}
+
+// inflightBit is the in-flight set's rule: staged in a list register.
+func (d *VDist) inflightBit(vcpu, id int) bool { return d.irq(vcpu, id).inflight }
 
 // MapVGIC maps the hardware-assisted interrupt interfaces the board has
 // into a guest's Stage-2 table.
@@ -121,6 +137,14 @@ func (d *VDist) AddVCPU(v VDistVCPU, saved *gic.VGICCpu) {
 	d.saved = append(d.saved, saved)
 	d.priv = append(d.priv, [gic.SPIBase]virqState{})
 	d.sgiSrc = append(d.sgiSrc, [gic.NumSGIs]int{})
+	d.ready.AddCPU()
+	d.inflight.AddCPU()
+}
+
+// resync re-derives id's ready-set bits after a write to its slot.
+func (d *VDist) resync(vcpu, id int) {
+	d.ready.Sync(vcpu, id)
+	d.inflight.Sync(vcpu, id)
 }
 
 func (d *VDist) irq(vcpu, id int) *virqState {
@@ -203,6 +227,7 @@ func (d *VDist) writeEnable(vcpu, word int, bits uint32, enable bool) {
 		}
 		if s := d.irq(vcpu, word*32+b); s != nil {
 			s.enabled = enable
+			d.resync(vcpu, word*32+b)
 		}
 	}
 }
@@ -249,6 +274,7 @@ func (d *VDist) sendSGI(src VDistVCPU, mask uint8, id int) {
 		s.pending = true
 		s.raised++
 		d.sgiSrc[i][id] = src.VCPUID()
+		d.resync(i, id)
 	}
 }
 
@@ -266,6 +292,7 @@ func (d *VDist) InjectSPI(id int, level bool) {
 		s.raised++
 		d.Injections++
 	}
+	d.resync(0, id)
 	d.DeliverAll()
 }
 
@@ -275,6 +302,7 @@ func (d *VDist) InjectPPI(v VDistVCPU, id int) {
 	s.pending = true
 	s.raised++
 	d.Injections++
+	d.resync(v.VCPUID(), id)
 	d.DeliverTo(v)
 }
 
@@ -318,22 +346,20 @@ func (d *VDist) HasPendingFor(v VDistVCPU) bool {
 	if !d.enabled {
 		return false
 	}
-	for id := 0; id < gic.SPIBase; id++ {
-		if d.priv[v.VCPUID()][id].deliverable() {
-			return true
-		}
-	}
-	for i := range d.spi {
-		s := &d.spi[i]
-		if s.deliverable() && d.targets(s, v) {
+	vc := v.VCPUID()
+	for id := d.ready.Lowest(vc); id >= 0; id = d.ready.Next(vc, id+1) {
+		if d.irq(vc, id).undelivered() {
 			return true
 		}
 	}
 	return false
 }
 
-func (d *VDist) targets(s *virqState, v VDistVCPU) bool {
-	return s.target == 0 && v.VCPUID() == 0 || s.target&(1<<v.VCPUID()) != 0
+// routes is the virtual distributor's SPI routing rule: the target mask,
+// where an unprogrammed (zero) mask means vCPU 0.
+func (d *VDist) routes(id, vcpu int) bool {
+	t := d.spi[id-gic.SPIBase].target
+	return t == 0 && vcpu == 0 || t&(1<<vcpu) != 0
 }
 
 // DeliverAll pushes pending interrupts toward every vCPU.
@@ -382,70 +408,62 @@ func (d *VDist) DeliverTo(v VDistVCPU) {
 func (d *VDist) FlushTo(v VDistVCPU, phys int) {
 	g := d.Board.GIC
 	d.Flushes++
-	stage := func(id int, s *virqState) bool {
+	vc := v.VCPUID()
+	for id := d.ready.Lowest(vc); id >= 0; id = d.ready.Next(vc, id+1) {
+		s := d.irq(vc, id)
+		if s.inflight {
+			continue
+		}
 		lr := g.FreeLR(phys)
 		if lr < 0 {
-			return false
+			return
 		}
 		if err := g.WriteLR(phys, lr, gic.ListReg{VirtID: id, State: gic.LRPending, EOIMaint: s.level}); err != nil {
-			return false
+			return
 		}
 		d.Board.CPUs[phys].Charge(gic.CPUIfaceAccessCycles)
 		s.inflight = true
 		s.staged = s.raised
-		return true
-	}
-	for id := 0; id < gic.SPIBase; id++ {
-		s := &d.priv[v.VCPUID()][id]
-		if s.enabled && s.pending && !s.active && !s.inflight {
-			if !stage(id, s) {
-				return
-			}
-		}
-	}
-	for i := range d.spi {
-		s := &d.spi[i]
-		if s.enabled && s.pending && !s.active && !s.inflight && d.targets(s, v) {
-			if !stage(gic.SPIBase+i, s) {
-				return
-			}
-		}
+		d.resync(vc, id)
 	}
 }
 
 // SyncFrom reconciles the software model with list-register state read
 // back at world switch out: completed LRs retire their interrupts; ones
 // still pending/active return to software state for the next entry.
+// Every in-flight shared interrupt is reconciled, whichever vCPU staged
+// it.
 func (d *VDist) SyncFrom(v VDistVCPU, saved *gic.VGICCpu) {
-	seen := map[int]gic.ListRegState{}
-	for i := range saved.LR {
+	vc := v.VCPUID()
+	for id := d.inflight.Lowest(vc); id >= 0; id = d.inflight.Next(vc, id+1) {
+		if lrLive(saved, id) {
+			// Still pending/active in the LR: leave inflight; the
+			// state will be restored with the VGIC context at next
+			// entry.
+			continue
+		}
+		// Delivered and EOId. Level interrupts still asserted, and
+		// edges raised after this instance was staged, become pending
+		// again.
+		s := d.irq(vc, id)
+		s.inflight = false
+		s.active = false
+		s.pending = s.level || s.raised > s.staged
+		d.resync(vc, id)
+	}
+}
+
+// lrLive reports whether the saved list registers still hold id: the last
+// register naming it is not invalid. An invalid register naming ID 0 is an
+// empty one and names nothing.
+func lrLive(saved *gic.VGICCpu, id int) bool {
+	for i := len(saved.LR) - 1; i >= 0; i-- {
 		lr := &saved.LR[i]
-		if lr.VirtID != 0 || lr.State != gic.LRInvalid {
-			seen[lr.VirtID] = lr.State
+		if lr.VirtID == id && (id != 0 || lr.State != gic.LRInvalid) {
+			return lr.State != gic.LRInvalid
 		}
 	}
-	retire := func(id int, s *virqState) {
-		if !s.inflight {
-			return
-		}
-		st, live := seen[id]
-		if !live || st == gic.LRInvalid {
-			// Delivered and EOId. Level interrupts still asserted,
-			// and edges raised after this instance was staged, become
-			// pending again.
-			s.inflight = false
-			s.active = false
-			s.pending = s.level || s.raised > s.staged
-		}
-		// Still pending/active in the LR: leave inflight; the state
-		// will be restored with the VGIC context at next entry.
-	}
-	for id := 0; id < gic.SPIBase; id++ {
-		retire(id, &d.priv[v.VCPUID()][id])
-	}
-	for i := range d.spi {
-		retire(gic.SPIBase+i, &d.spi[i])
-	}
+	return false
 }
 
 // --- Software CPU-interface emulation (no VGIC hardware) ---
@@ -453,30 +471,18 @@ func (d *VDist) SyncFrom(v VDistVCPU, saved *gic.VGICCpu) {
 // AckEmu emulates a GICC IAR read for hardware without a VGIC: highest
 // pending virtual interrupt becomes active.
 func (d *VDist) AckEmu(v VDistVCPU) (id, src int) {
-	best := -1
-	var bs *virqState
-	consider := func(id int, s *virqState) {
-		if s.enabled && s.pending && !s.active && (best < 0 || id < best) {
-			best, bs = id, s
-		}
-	}
-	for id := 0; id < gic.SPIBase; id++ {
-		consider(id, &d.priv[v.VCPUID()][id])
-	}
-	for i := range d.spi {
-		if d.targets(&d.spi[i], v) {
-			consider(gic.SPIBase+i, &d.spi[i])
-		}
-	}
+	best := d.ready.Lowest(v.VCPUID())
 	if best < 0 {
 		return 1023, 0
 	}
+	bs := d.irq(v.VCPUID(), best)
 	bs.pending = bs.level
 	if best < gic.SPIBase {
 		bs.pending = false
 	}
 	bs.active = true
 	bs.activeOn = int8(v.VCPUID())
+	d.resync(v.VCPUID(), best)
 	if best < gic.NumSGIs {
 		return best, d.sgiSrc[v.VCPUID()][best]
 	}
@@ -490,6 +496,7 @@ func (d *VDist) EOIEmu(v VDistVCPU, id int) {
 		if s.level {
 			s.pending = true
 		}
+		d.resync(v.VCPUID(), id)
 	}
 }
 

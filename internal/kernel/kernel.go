@@ -161,6 +161,11 @@ type Kernel struct {
 	procs       map[int]*Proc
 	dead        int // processes in procs that reached ProcDead
 	nextPID     int
+	// nextASID and nextTimerID are this kernel's ASID and soft-timer ID
+	// allocators: per kernel, so what one kernel allocates never moves
+	// another's numbering.
+	nextASID    uint8
+	nextTimerID uint64
 
 	// irqHandlers dispatches device SPIs.
 	irqHandlers map[int]func(k *Kernel, cpu int)

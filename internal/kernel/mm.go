@@ -108,16 +108,18 @@ type AddrSpace struct {
 	brk uint32
 }
 
-var nextASID uint8
-
-// NewAddrSpace creates an empty user address space.
+// NewAddrSpace creates an empty user address space. ASIDs count up from
+// 1 and skip 0 when they wrap.
 func (k *Kernel) NewAddrSpace() (*AddrSpace, error) {
 	t, err := mmu.NewBuilder(mmu.TableKernel, k.Mem, k.Alloc)
 	if err != nil {
 		return nil, err
 	}
-	nextASID++
-	return &AddrSpace{Table: t, ASID: nextASID, pages: make(map[uint32]uint64), ro: make(map[uint32]bool), brk: 0x0010_0000}, nil
+	k.nextASID++
+	if k.nextASID == 0 {
+		k.nextASID = 1
+	}
+	return &AddrSpace{Table: t, ASID: k.nextASID, pages: make(map[uint32]uint64), ro: make(map[uint32]bool), brk: 0x0010_0000}, nil
 }
 
 // GetUserPages allocates and maps n pages at va in the address space —
@@ -160,7 +162,7 @@ func (k *Kernel) handleFault(cpu int, c *arm.CPU, e *arm.Exception) {
 			k.killCurrent(cpu, c, "remap")
 			return
 		}
-		c.MMU.FlushASID(p.AS.ASID)
+		c.FlushASID(p.AS.ASID)
 		c.Charge(c.Cost.TLBFlushASID)
 		c.Charge(k.Cost.SignalWork) // signal delivery + handler
 		p.ProtFaults++
@@ -187,7 +189,7 @@ func (k *Kernel) ProtectPage(c *arm.CPU, as *AddrSpace, va uint32) {
 	}
 	as.ro[va] = true
 	_ = as.Table.MapPage(va, pa, mmu.MapFlags{W: false, U: true})
-	c.MMU.FlushASID(as.ASID)
+	c.FlushASID(as.ASID)
 	c.Charge(c.Cost.TLBFlushASID + k.Cost.SyscallWork) // mprotect syscall
 }
 
@@ -253,7 +255,7 @@ func (k *Kernel) UnmapUserRange(c *arm.CPU, as *AddrSpace, va uint32, n int) {
 			delete(as.ro, a)
 		}
 	}
-	c.MMU.FlushASID(as.ASID)
+	c.FlushASID(as.ASID)
 	c.Charge(c.Cost.TLBFlushASID + k.Cost.SyscallWork)
 }
 

@@ -23,8 +23,6 @@ type softTimer struct {
 	id uint64
 }
 
-var nextTimerID uint64
-
 func newSoftTimers() *softTimers { return &softTimers{} }
 
 // AddTimer schedules fn to run in interrupt context on cpu after delay
@@ -32,12 +30,12 @@ func newSoftTimers() *softTimers { return &softTimers{} }
 func (k *Kernel) AddTimer(cpu int, c *arm.CPU, delay uint64, fn func(k *Kernel, cpu int)) uint64 {
 	k.Stats.SoftTimers++
 	st := k.timers[cpu]
-	nextTimerID++
+	k.nextTimerID++
 	now := k.ReadCounter(c)
-	st.entries = append(st.entries, softTimer{at: now + delay, fn: fn, id: nextTimerID})
+	st.entries = append(st.entries, softTimer{at: now + delay, fn: fn, id: k.nextTimerID})
 	sort.Slice(st.entries, func(i, j int) bool { return st.entries[i].at < st.entries[j].at })
 	k.reprogram(cpu, c)
-	return nextTimerID
+	return k.nextTimerID
 }
 
 // CancelTimer removes a pending soft timer.

@@ -19,6 +19,9 @@ type APIC struct {
 	priv   [][gic.SPIBase]virqState
 	sgiSrc [][gic.NumSGIs]int
 	spi    []virqState
+	// ready indexes the enabled, pending, inactive interrupts; every
+	// slot write re-derives its ID's bit (ready.Sync).
+	ready gic.ReadySet[*APIC]
 
 	Injections uint64
 	IPIs       uint64
@@ -40,11 +43,22 @@ const (
 	apicTimerIRQ = 27
 )
 
-func newAPIC(vm *VM) *APIC { return &APIC{vm: vm, spi: make([]virqState, apicSPIs)} }
+func newAPIC(vm *VM) *APIC {
+	a := &APIC{vm: vm, spi: make([]virqState, apicSPIs)}
+	a.ready = gic.NewReadySet(0, apicSPIs, a, (*APIC).readyBit, (*APIC).routes)
+	return a
+}
+
+// readyBit is the ready-set rule: enabled, pending and not active.
+func (a *APIC) readyBit(vcpu, id int) bool {
+	s := a.irq(vcpu, id)
+	return s.enabled && s.pending && !s.active
+}
 
 func (a *APIC) addVCPU() {
 	a.priv = append(a.priv, [gic.SPIBase]virqState{})
 	a.sgiSrc = append(a.sgiSrc, [gic.NumSGIs]int{})
+	a.ready.AddCPU()
 }
 
 func (a *APIC) irq(vcpu, id int) *virqState {
@@ -110,6 +124,7 @@ func (a *APIC) writeEnable(vcpu, word int, bits uint32, enable bool) {
 		}
 		if s := a.irq(vcpu, word*32+b); s != nil {
 			s.enabled = enable
+			a.ready.Sync(vcpu, word*32+b)
 		}
 	}
 }
@@ -132,6 +147,7 @@ func (a *APIC) sendIPI(src *VCPU, mask uint8, id int) {
 		s := &a.priv[i][id]
 		s.pending = true
 		a.sgiSrc[i][id] = src.ID
+		a.ready.Sync(i, id)
 	}
 	// The physical IPI underneath (sender-side cost; charged to the core
 	// executing the ICR emulation — the sender exited to root mode).
@@ -149,6 +165,7 @@ func (a *APIC) InjectSPI(id int, level bool) {
 		s.pending = true
 		a.Injections++
 	}
+	a.ready.Sync(0, id)
 	a.deliverAll()
 }
 
@@ -161,6 +178,7 @@ func (a *APIC) InjectTimer(fromHostCPU, vcpu int) {
 			CPU: int16(fromHostCPU), Arg: apicTimerIRQ})
 	}
 	a.priv[vcpu][apicTimerIRQ].pending = true
+	a.ready.Sync(vcpu, apicTimerIRQ)
 	a.Injections++
 	a.deliverTo(v)
 	v.Wake(fromHostCPU)
@@ -173,25 +191,14 @@ func (a *APIC) PendingIRQ(vcpu int) bool { return a.hasPendingFor(a.vm.vcpus[vcp
 // inventory differs from ARM's: APIC instead of a virtual distributor).
 func (a *APIC) Family() string { return "x86" }
 
-func (a *APIC) targets(s *virqState, v *VCPU) bool {
-	return s.target == 0 && v.ID == 0 || s.target&(1<<v.ID) != 0
+// routes is the APIC's SPI routing rule: the target mask, where an
+// unprogrammed (zero) mask means vCPU 0.
+func (a *APIC) routes(id, vcpu int) bool {
+	t := a.spi[id-gic.SPIBase].target
+	return t == 0 && vcpu == 0 || t&(1<<vcpu) != 0
 }
 
-func (a *APIC) hasPendingFor(v *VCPU) bool {
-	for id := 0; id < gic.SPIBase; id++ {
-		s := &a.priv[v.ID][id]
-		if s.enabled && s.pending && !s.active {
-			return true
-		}
-	}
-	for i := range a.spi {
-		s := &a.spi[i]
-		if s.enabled && s.pending && !s.active && a.targets(s, v) {
-			return true
-		}
-	}
-	return false
-}
+func (a *APIC) hasPendingFor(v *VCPU) bool { return a.ready.Lowest(v.ID) >= 0 }
 
 func (a *APIC) deliverAll() {
 	for _, v := range a.vm.vcpus {
@@ -223,29 +230,17 @@ func (a *APIC) deliverTo(v *VCPU) {
 // does not [need an ACK] because the source is directly indicated by the
 // interrupt descriptor table entry").
 func (a *APIC) Ack(v *VCPU) (id, src int) {
-	best := -1
-	var bs *virqState
-	consider := func(id int, s *virqState) {
-		if s.enabled && s.pending && !s.active && (best < 0 || id < best) {
-			best, bs = id, s
-		}
-	}
-	for id := 0; id < gic.SPIBase; id++ {
-		consider(id, &a.priv[v.ID][id])
-	}
-	for i := range a.spi {
-		if a.targets(&a.spi[i], v) {
-			consider(gic.SPIBase+i, &a.spi[i])
-		}
-	}
+	best := a.ready.Lowest(v.ID)
 	if best < 0 {
 		return 1023, 0
 	}
+	bs := a.irq(v.ID, best)
 	bs.pending = bs.level
 	if best < gic.SPIBase {
 		bs.pending = false
 	}
 	bs.active = true
+	a.ready.Sync(v.ID, best)
 	if best < gic.NumSGIs {
 		return best, a.sgiSrc[v.ID][best]
 	}
@@ -261,6 +256,7 @@ func (a *APIC) EOI(v *VCPU, id int) {
 		if s.level {
 			s.pending = true
 		}
+		a.ready.Sync(v.ID, id)
 	}
 	a.deliverTo(v)
 }
@@ -312,6 +308,7 @@ func (a *APIC) RestoreIC(st *hv.ICState) error {
 	for i := range a.spi {
 		imp(&a.spi[i], st.SPI[i])
 	}
+	a.ready.Rebuild()
 	a.deliverAll()
 	return nil
 }

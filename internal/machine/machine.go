@@ -130,8 +130,8 @@ type Board struct {
 
 // New builds a board.
 func New(cfg Config) (*Board, error) {
-	if cfg.CPUs <= 0 {
-		return nil, fmt.Errorf("machine: need at least one CPU")
+	if cfg.CPUs <= 0 || cfg.CPUs > gic.MaxCPUs {
+		return nil, fmt.Errorf("machine: %d CPUs; the GIC serves 1 to %d", cfg.CPUs, gic.MaxCPUs)
 	}
 	if cfg.RAMBytes == 0 {
 		cfg.RAMBytes = 256 << 20

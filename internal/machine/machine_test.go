@@ -241,3 +241,16 @@ func TestQuiescedBoardStops(t *testing.T) {
 		t.Fatal("board did not quiesce")
 	}
 }
+
+// TestBoardCPULimit: the GIC routes by one-byte CPU masks, so a board has
+// 1 to gic.MaxCPUs cores.
+func TestBoardCPULimit(t *testing.T) {
+	for _, cpus := range []int{0, gic.MaxCPUs + 1} {
+		if _, err := New(Config{CPUs: cpus, RAMBytes: 1 << 20}); err == nil {
+			t.Errorf("New with %d CPUs succeeded", cpus)
+		}
+	}
+	if _, err := New(Config{CPUs: gic.MaxCPUs, RAMBytes: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+}

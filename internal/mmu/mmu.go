@@ -238,10 +238,11 @@ func (m *MMU) FlushAll() {
 	}
 }
 
-// FlushASID invalidates the Stage-1 entries tagged with asid (TLBIASID),
-// whatever their VMID.
-func (m *MMU) FlushASID(asid uint8) {
-	m.tlb.flushWhere(func(k tlbKey, _ *tlbEntry) bool { return k.s1() && k.asid() == asid })
+// FlushASID invalidates the Stage-1 entries tagged with asid under vmid
+// (TLBIASID, which the architecture scopes to the issuing VMID; the host's
+// entries carry VMID 0). Other VMs' entries with the same ASID stay.
+func (m *MMU) FlushASID(vmid, asid uint8) {
+	m.tlb.flushWhere(func(k tlbKey, _ *tlbEntry) bool { return k.s1() && k.asid() == asid && k.vmid() == vmid })
 	m.stats.Flushes++
 	if m.Trace != nil {
 		m.Trace.Emit(trace.Event{Kind: trace.EvTLBFlush, VCPU: -1, CPU: -1, Arg: trace.FlushScopeASID})

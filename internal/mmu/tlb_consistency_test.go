@@ -188,7 +188,7 @@ func TestFlushInsertFuzz(t *testing.T) {
 		case 0:
 			m.FlushAll()
 		case 1:
-			m.FlushASID(uint8(rng.Intn(4)))
+			m.FlushASID(uint8(rng.Intn(4)), uint8(rng.Intn(4)))
 		case 2:
 			m.FlushVMID(uint8(rng.Intn(4)))
 		case 3:

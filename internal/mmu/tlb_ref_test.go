@@ -55,9 +55,9 @@ func (m *refMMU) FlushAll() {
 	}
 }
 
-func (m *refMMU) FlushASID(asid uint8) {
+func (m *refMMU) FlushASID(vmid, asid uint8) {
 	for k := range m.tlb {
-		if k.s1 && k.asid == asid {
+		if k.s1 && k.asid == asid && k.vmid == vmid {
 			delete(m.tlb, k)
 		}
 	}
@@ -300,8 +300,8 @@ func runTLBOracle(t *testing.T, world *tlbWorld, ram PhysReader, capacity int, o
 			want.FlushAll()
 		case op == 1: // scoped flushes stay rare enough that streams fill
 			what = "FlushASID"
-			got.FlushASID(a % 5)
-			want.FlushASID(a % 5)
+			got.FlushASID(uint8(b%4), a%5)
+			want.FlushASID(uint8(b%4), a%5)
 		case op == 2:
 			what = "FlushVMID"
 			got.FlushVMID(a % 4)

@@ -47,6 +47,15 @@ go test -fuzz FuzzBlockCache -fuzztime 5s -run '^$' ./internal/isa/
 # input instead of searching.
 go test -fuzz FuzzTLB -fuzztime 5s -fuzzminimizetime 20x -run '^$' ./internal/mmu/
 
+# Short ready-set fuzz smokes, one per interrupt model (physical GIC,
+# virtual distributor, x86 APIC): random operation streams vs the slot
+# scans the ready sets replaced, compared after every operation; the
+# long-running variants are manual. Inputs are long operation streams, so
+# minimisation is capped as for FuzzTLB.
+for pkg in gic hv kvmx86; do
+	go test -fuzz FuzzReadySet -fuzztime 5s -fuzzminimizetime 20x -run '^$' ./internal/$pkg/
+done
+
 # Short switch-frame fuzz smoke (random frame interleavings vs a
 # sequential MAC-learning oracle); the long-running variant is manual.
 go test -fuzz FuzzSwitchFrames -fuzztime 5s -run '^$' ./internal/net/
